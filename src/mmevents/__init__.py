@@ -1,8 +1,8 @@
 """Multimedia event extraction via negotiated hypergraph evolution."""
 
 from .hypergraph import BoxRegion, Document, Hyperedge, Hypergraph, ImageRef, TextSpan, Vertex
-from .pipeline import DocumentResult, EventRecord, PipelineConfig, run_document
-from .schema import EventSchema, default_schema, load_schema
+from .pipeline import DocumentResult, PipelineConfig, run_document
+from .schema import EventRecord, EventSchema, default_schema, load_schema
 from .scorer import evaluate
 
 __all__ = [

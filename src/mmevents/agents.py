@@ -81,10 +81,6 @@ class CallLedger:
         }
 
 
-def ledger_report(ledger: CallLedger) -> dict:
-    return ledger.report()
-
-
 # ---------------------------------------------------------------------------
 # context rendering
 
@@ -189,6 +185,17 @@ def parse_operations(raw: str, agent_id: str) -> tuple[list[Proposal], list[str]
         payload = dict(payload)
         alias = item.get("alias") or payload.pop("alias", None)
         target = item.get("target")
+        strings = {"target": target, "alias": alias,
+                   "event_type": payload.get("event_type"), "vertex": payload.get("vertex")}
+        bad = [k for k, v in strings.items() if v is not None and not isinstance(v, str)]
+        members = payload.get("members")
+        if members is not None and not (
+            isinstance(members, list) and all(isinstance(m, str) for m in members)
+        ):
+            bad.append("members")
+        if bad:
+            diagnostics.append(f"{agent_id}[{i}]: malformed {', '.join(bad)}, operation dropped")
+            continue
         if op_type != "propose" and not target:
             diagnostics.append(f"{agent_id}[{i}]: MissingField: no target")
             continue

@@ -19,11 +19,10 @@ from . import agents as ag
 from .errors import EngineError, MalformedState
 from .hypergraph import Document, ImageRef
 from .ops import replay_rounds
-from .pipeline import EventRecord, PipelineConfig, run_document
-from .schema import default_schema, load_schema
+from .pipeline import MODES, PipelineConfig, run_document
+from .schema import EventRecord, default_schema, load_schema
 from .scorer import SETTINGS, evaluate, render_report
 from .state import deserialize_state, serialize_state
-from .scorer import PRF  # noqa: F401  (re-exported for report consumers)
 
 ENV_PREFIX = "MMEVENTS_"
 
@@ -287,8 +286,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--config")
     run.add_argument("--backend", choices=["live", "script"])
     run.add_argument("--script-dir")
-    run.add_argument("--mode", choices=["full", "no-linker", "no-verifier",
-                                        "no-spanalign", "bind-during-link"])
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--t-max", type=int, dest="t_max")
     run.add_argument("--tau", type=float)
     run.add_argument("--alpha", type=float)

@@ -51,14 +51,6 @@ class AgentUnavailable(EngineError):
     pass
 
 
-class SeederUnavailable(AgentUnavailable):
-    pass
-
-
-class BinderUnavailable(AgentUnavailable):
-    pass
-
-
 class VisionUnavailable(EngineError):
     pass
 
@@ -79,10 +71,6 @@ class ScriptExhausted(EngineError):
 
 class NoAlignment(EngineError):
     """A mention could not be located in the source text."""
-
-
-class MalformedBinding(EngineError):
-    pass
 
 
 class UnknownSetting(EngineError):

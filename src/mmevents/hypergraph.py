@@ -9,7 +9,7 @@ negotiation and are only populated by the role-binding stage.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import DuplicateLocalization, InternalInconsistency, InvalidLocalization
@@ -48,16 +48,12 @@ class Document:
     doc_id: str
     text: str = ""
     image: Optional[ImageRef] = None
-    visual_context: str = ""
 
     def __post_init__(self):
         if not self.text and self.image is None:
             raise ValueError(f"document {self.doc_id}: text may be empty only if an image is present")
         if self.image is not None and (self.image.width <= 0 or self.image.height <= 0):
             raise ValueError(f"document {self.doc_id}: image dimensions must be positive")
-
-    def with_visual_context(self, ctx: str) -> "Document":
-        return replace(self, visual_context=ctx)
 
 
 def check_localization(loc: Localization, doc: Document) -> None:
@@ -129,12 +125,6 @@ class Hypergraph:
 
     def copy(self) -> "Hypergraph":
         return copy.deepcopy(self)
-
-    def text_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices.values() if v.is_text]
-
-    def image_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices.values() if not v.is_text]
 
     def allocate_edge_id(self) -> str:
         eid = f"HE{self.next_edge}"

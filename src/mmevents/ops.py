@@ -87,15 +87,15 @@ class AuditEntry:
         )
 
 
-AuditTrail = list  # list[AuditEntry]
-
-
 def _canonical_trigger(raw) -> Optional[dict]:
     if raw is None:
         return None
     if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
         raise MissingField("trigger payload must carry integer start/end")
-    return {"start": int(raw["start"]), "end": int(raw["end"])}
+    try:
+        return {"start": int(raw["start"]), "end": int(raw["end"])}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MissingField(f"trigger payload must carry integer start/end ({exc})") from exc
 
 
 def canonical_payload(op_type: str, payload: dict) -> dict:
@@ -434,24 +434,9 @@ def append_log(trail: Sequence[AuditEntry], unit: CommitUnit) -> list[AuditEntry
     return new
 
 
-def replay(
-    h0: hg.Hypergraph,
-    trail: Sequence[AuditEntry],
-    schema: EventSchema,
-    doc: Optional[hg.Document] = None,
-) -> hg.Hypergraph:
-    """Fold the audit trail over the edge-free initial state."""
-    out = h0.copy()
-    for entry in trail:
-        _replay_entry(out, entry)
-    hg.check_invariants(out, schema, doc)
-    if doc is not None:
-        refresh_trigger_surfaces(out, doc.text)
-    return out
-
-
 def replay_rounds(h0: hg.Hypergraph, trail: Sequence[AuditEntry], schema: EventSchema, doc=None):
-    """Yield (round, state) after each replayed round."""
+    """Fold the audit trail over the edge-free initial state, yielding
+    (round, state) after each replayed round."""
     out = h0.copy()
     for rnd, entries in itertools.groupby(trail, key=lambda e: e.round):
         for entry in entries:

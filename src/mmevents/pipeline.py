@@ -10,7 +10,7 @@ evidence, and schema heuristics, and exports normalized event records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import agents as ag
@@ -18,6 +18,7 @@ from . import ops
 from .errors import (
     DuplicateLocalization,
     EngineError,
+    InternalInconsistency,
     InvalidLocalization,
     NoAlignment,
 )
@@ -30,10 +31,13 @@ from .hypergraph import (
     add_vertex,
     sort_ids,
 )
-from .schema import EventSchema
+from .schema import EventRecord, EventSchema
 from .textnorm import align_span, head_token_span
 
 MODES = ("full", "no-linker", "no-verifier", "no-spanalign", "bind-during-link")
+
+# prior for edges whose confidence was never adjusted
+NEUTRAL_CONFIDENCE = 0.5
 
 
 @dataclass
@@ -45,9 +49,6 @@ class PipelineConfig:
     theta_event: float = 0.7
     iou_align: float = 0.5
     mode: str = "full"
-    binder_per_edge: bool = False
-    # neutral prior for edges whose confidence was never adjusted
-    neutral_confidence: float = 0.5
 
     def __post_init__(self):
         if self.t_max < 1:
@@ -60,40 +61,6 @@ class PipelineConfig:
             raise ValueError("lam must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass
-class EventRecord:
-    event_type: str
-    trigger: str
-    text_arguments: list[tuple[str, str]] = field(default_factory=list)
-    image_arguments: list[tuple[str, list[int]]] = field(default_factory=list)
-    confidence: Optional[dict] = None
-    non_extractive: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        out = {
-            "event_type": self.event_type,
-            "trigger": self.trigger,
-            "text_arguments": [[role, text] for role, text in self.text_arguments],
-            "image_arguments": [[role, list(box)] for role, box in self.image_arguments],
-        }
-        if self.confidence is not None:
-            out["confidence"] = self.confidence
-        if self.non_extractive:
-            out["non_extractive"] = list(self.non_extractive)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EventRecord":
-        return cls(
-            event_type=obj["event_type"],
-            trigger=obj.get("trigger", ""),
-            text_arguments=[(r, t) for r, t in obj.get("text_arguments", [])],
-            image_arguments=[(r, list(b)) for r, b in obj.get("image_arguments", [])],
-            confidence=obj.get("confidence"),
-            non_extractive=list(obj.get("non_extractive", [])),
-        )
 
 
 @dataclass
@@ -219,7 +186,8 @@ def negotiate(
         trail = ops.append_log(trail, unit)
         last_committed_round = t
         # link-then-bind: negotiation must never touch role assignments
-        assert all(not e.roles for e in h.edges.values()), "role assignment leaked into Stage II"
+        if any(e.roles for e in h.edges.values()):
+            raise InternalInconsistency("role assignment leaked into Stage II")
 
     t_used = max(last_committed_round, 1)
 
@@ -294,70 +262,78 @@ def bind_roles(
     """Populate role assignments on every edge of the negotiated state."""
     if not h.edges:
         return
-    edge_ids = sort_ids(h.edges)
-    groups = [edge_ids] if not cfg.binder_per_edge else [[eid] for eid in edge_ids]
+    context = ag.build_context(doc.text, visual_context, h, trail, 0, schema)
+    raw = backend.invoke(ag.BINDER, context, doc.doc_id, 0, ledger, "bind")
+    arr = ag._first_json_array(raw or "")
+    if arr is None:
+        diagnostics.append("bind: no JSON binding array in binder reply")
+        return
 
-    for group in groups:
-        context = ag.build_context(doc.text, visual_context, h, trail, 0, schema)
-        raw = backend.invoke(ag.BINDER, context, doc.doc_id, 0, ledger, "bind")
-        arr = ag._first_json_array(raw or "")
-        if arr is None:
-            diagnostics.append("bind: no JSON binding array in binder reply")
+    box_proposals: dict[str, list[tuple[list[float], str, float]]] = {}
+    for i, item in enumerate(arr):
+        if not isinstance(item, dict):
+            diagnostics.append(f"bind[{i}]: binding is not an object")
             continue
-
-        box_proposals: dict[str, list[tuple[list[float], str, float]]] = {}
-        for i, item in enumerate(arr):
-            if not isinstance(item, dict):
-                diagnostics.append(f"bind[{i}]: binding is not an object")
+        eid = item.get("edge")
+        if not isinstance(eid, str) or eid not in h.edges:
+            diagnostics.append(f"bind[{i}]: unknown or out-of-scope edge {eid!r}")
+            continue
+        edge = h.edges[eid]
+        role = item.get("role")
+        conf = item.get("confidence", 0.0)
+        if "vertex" in item:
+            vid = item["vertex"]
+            if not isinstance(vid, str) or vid not in edge.members:
+                diagnostics.append(f"bind[{i}]: vertex {vid!r} not linked to {eid}, dropped")
                 continue
-            eid = item.get("edge")
-            if eid not in h.edges or eid not in group:
-                diagnostics.append(f"bind[{i}]: unknown or out-of-scope edge {eid!r}")
+            rb = _retain_binding(edge, vid, role, conf, cfg, schema, diagnostics)
+            if rb:
+                edge.roles.append(rb)
+        elif "box" in item:
+            box = item["box"]
+            if not _is_box(box):
+                diagnostics.append(f"bind[{i}]: box {box!r} is not a list of four numbers, dropped")
                 continue
-            edge = h.edges[eid]
-            role = item.get("role")
-            conf = item.get("confidence", 0.0)
-            if "vertex" in item:
-                vid = item["vertex"]
-                if vid not in edge.members:
-                    diagnostics.append(f"bind[{i}]: vertex {vid!r} not linked to {eid}, dropped")
-                    continue
-                rb = _retain_binding(edge, vid, role, conf, cfg, schema, diagnostics)
-                if rb:
-                    edge.roles.append(rb)
-            elif "box" in item:
-                box_proposals.setdefault(eid, []).append((list(item["box"]), role, conf))
-            elif "query" in item:
-                if vision is None or doc.image is None:
-                    diagnostics.append(f"bind[{i}]: localization query without an image, dropped")
-                    continue
-                regions = vision.localize(doc, str(item["query"]), ledger, "bind")
-                for box, _label, _score in regions:
-                    clipped = ag.clip_box(box, doc, diagnostics)
-                    if clipped is not None:
-                        box_proposals.setdefault(eid, []).append((clipped, role, conf))
-            else:
-                diagnostics.append(f"bind[{i}]: binding carries neither vertex, box, nor query")
+            box_proposals.setdefault(eid, []).append((box, role, conf))
+        elif "query" in item:
+            if vision is None or doc.image is None:
+                diagnostics.append(f"bind[{i}]: localization query without an image, dropped")
+                continue
+            regions = vision.localize(doc, str(item["query"]), ledger, "bind")
+            for box, _label, _score in regions:
+                clipped = ag.clip_box(box, doc, diagnostics)
+                if clipped is not None:
+                    box_proposals.setdefault(eid, []).append((clipped, role, conf))
+        else:
+            diagnostics.append(f"bind[{i}]: binding carries neither vertex, box, nor query")
 
-        for eid, proposals in box_proposals.items():
-            edge = h.edges[eid]
-            linked_images = [
-                h.vertices[vid] for vid in sort_ids(edge.members)
-                if isinstance(h.vertices[vid].localization, BoxRegion)
-            ]
-            boxes = [p[0] for p in proposals]
-            matched = ag.match_localizations(boxes, linked_images, cfg.iou_align)
-            matched_idx = {i for i, _, _ in matched}
-            for i, (box, role, conf) in enumerate(proposals):
-                if i not in matched_idx:
-                    diagnostics.append(
-                        f"bind: box {box} on {eid} overlaps no linked image vertex, discarded"
-                    )
-            for i, vertex, _score in matched:
-                _box, role, conf = proposals[i]
-                rb = _retain_binding(edge, vertex.id, role, conf, cfg, schema, diagnostics)
-                if rb:
-                    edge.roles.append(rb)
+    for eid, proposals in box_proposals.items():
+        edge = h.edges[eid]
+        linked_images = [
+            h.vertices[vid] for vid in sort_ids(edge.members)
+            if isinstance(h.vertices[vid].localization, BoxRegion)
+        ]
+        boxes = [p[0] for p in proposals]
+        matched = ag.match_localizations(boxes, linked_images, cfg.iou_align)
+        matched_idx = {i for i, _, _ in matched}
+        for i, (box, role, conf) in enumerate(proposals):
+            if i not in matched_idx:
+                diagnostics.append(
+                    f"bind: box {box} on {eid} overlaps no linked image vertex, discarded"
+                )
+        for i, vertex, _score in matched:
+            _box, role, conf = proposals[i]
+            rb = _retain_binding(edge, vertex.id, role, conf, cfg, schema, diagnostics)
+            if rb:
+                edge.roles.append(rb)
+
+
+def _is_box(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 4
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
 
 
 def roles_from_link_payloads(
@@ -423,7 +399,7 @@ def consolidate(
     records: list[EventRecord] = []
     for eid in sort_ids(h.edges):
         edge = h.edges[eid]
-        c = edge.confidence if edge.confidence is not None else cfg.neutral_confidence
+        c = edge.confidence if edge.confidence is not None else NEUTRAL_CONFIDENCE
         rule = rule_score(edge, edge.roles, h, schema)
         c_final = hybrid_score(c, edge.roles, rule, cfg.alpha, cfg.lam)
         if c_final < cfg.theta_event:
@@ -514,7 +490,6 @@ def run_document(
     diagnostics: list[str] = []
 
     h0, visual_context = seed(doc, backend, vision, schema, ledger, diagnostics)
-    doc = doc.with_visual_context(visual_context)
 
     h, trail, t_used = negotiate(h0, doc, visual_context, backend, cfg, schema, ledger, diagnostics)
     negotiated = h.copy()

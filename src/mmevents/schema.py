@@ -1,9 +1,11 @@
-"""Event schema: the fixed map from event types to legal argument roles."""
+"""Event schema: the fixed map from event types to legal argument roles,
+and the event record that extraction exports and evaluation reads."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 DEFAULT_ENTRIES: dict[str, list[str]] = {
     "Movement:Transport": ["Agent", "Artifact", "Vehicle", "Destination", "Origin"],
@@ -56,12 +58,6 @@ class EventSchema:
     def has_type(self, event_type: str) -> bool:
         return event_type in self.entries
 
-    def role_labels(self) -> set[str]:
-        out: set[str] = set()
-        for roles in self.entries.values():
-            out.update(roles)
-        return out
-
     def required_for(self, event_type: str) -> tuple[str, ...]:
         return self.required_roles.get(event_type, ())
 
@@ -82,3 +78,37 @@ def load_schema(path: str | Path) -> EventSchema:
     entries = {k: tuple(v) for k, v in data["entries"].items()}
     required = {k: tuple(v) for k, v in data.get("required_roles", {}).items()}
     return EventSchema(entries=entries, required_roles=required)
+
+
+@dataclass
+class EventRecord:
+    event_type: str
+    trigger: str
+    text_arguments: list[tuple[str, str]] = field(default_factory=list)
+    image_arguments: list[tuple[str, list[int]]] = field(default_factory=list)
+    confidence: Optional[dict] = None
+    non_extractive: list[str] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        out = {
+            "event_type": self.event_type,
+            "trigger": self.trigger,
+            "text_arguments": [[role, text] for role, text in self.text_arguments],
+            "image_arguments": [[role, list(box)] for role, box in self.image_arguments],
+        }
+        if self.confidence is not None:
+            out["confidence"] = self.confidence
+        if self.non_extractive:
+            out["non_extractive"] = list(self.non_extractive)
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "EventRecord":
+        return cls(
+            event_type=obj["event_type"],
+            trigger=obj.get("trigger", ""),
+            text_arguments=[(r, t) for r, t in obj.get("text_arguments", [])],
+            image_arguments=[(r, list(b)) for r, b in obj.get("image_arguments", [])],
+            confidence=obj.get("confidence"),
+            non_extractive=list(obj.get("non_extractive", [])),
+        )

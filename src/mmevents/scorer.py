@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .boxes import iou
 from .errors import UnknownSetting
-from .pipeline import EventRecord
+from .schema import EventRecord
 from .textnorm import norm_tokens, normalize
 
 SETTINGS = ("textual", "visual", "multimedia")
@@ -101,18 +101,6 @@ def match_events(
     return pairs
 
 
-def score_em(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> PRF:
-    _check_setting(setting)
-    matched = predicted = gold = 0
-    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
-        preds = preds_by_doc.get(doc_id, [])
-        golds = golds_by_doc.get(doc_id, [])
-        matched += len(match_events(preds, golds, setting))
-        predicted += len(preds)
-        gold += len(golds)
-    return PRF.from_counts(matched, predicted, gold)
-
-
 def _args_of(rec: EventRecord) -> list[tuple[str, str, object]]:
     """Flatten arguments as (modality, role, grounding)."""
     out = [("text", role, text) for role, text in rec.text_arguments]
@@ -148,20 +136,6 @@ def _match_args(pred: EventRecord, gold: EventRecord) -> tuple[int, list[tuple[s
             consumed.add(hit)
             matched += 1
     return matched, unmatched
-
-
-def score_ar(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> PRF:
-    _check_setting(setting)
-    matched = predicted = gold = 0
-    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
-        preds = preds_by_doc.get(doc_id, [])
-        golds = golds_by_doc.get(doc_id, [])
-        predicted += sum(len(_args_of(p)) for p in preds)
-        gold += sum(len(_args_of(g)) for g in golds)
-        for pi, gi in match_events(preds, golds, setting):
-            m, _ = _match_args(preds[pi], golds[gi])
-            matched += m
-    return PRF.from_counts(matched, predicted, gold)
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +179,6 @@ def _classify_one(modality, role, grounding, type_gold_args) -> str:
     if same_role:
         return "span_mismatch"
     return "spurious"
-
-
-def classify_ar_errors(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> dict:
-    _check_setting(setting)
-    counts = {k: 0 for k in AR_ERROR_KEYS}
-    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
-        preds = preds_by_doc.get(doc_id, [])
-        golds = golds_by_doc.get(doc_id, [])
-        by_type = _gold_args_by_type(golds)
-        pairs = dict(match_events(preds, golds, setting))
-        for pi, pred in enumerate(preds):
-            if pi in pairs:
-                _, unmatched = _match_args(pred, golds[pairs[pi]])
-            else:
-                unmatched = _args_of(pred)
-            for modality, role, grounding in unmatched:
-                key = _classify_one(modality, role, grounding, by_type.get(pred.event_type, []))
-                counts[key] += 1
-    counts["total"] = sum(counts[k] for k in AR_ERROR_KEYS)
-    return counts
-
-
-def classify_em_errors(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> dict:
-    _check_setting(setting)
-    counts = {k: 0 for k in EM_ERROR_KEYS}
-    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
-        preds = preds_by_doc.get(doc_id, [])
-        golds = golds_by_doc.get(doc_id, [])
-        pairs = match_events(preds, golds, setting)
-        matched_preds = {pi for pi, _ in pairs}
-        matched_golds = {gi for _, gi in pairs}
-        gold_types = {g.event_type for g in golds}
-        for pi, pred in enumerate(preds):
-            if pi in matched_preds:
-                continue
-            if setting != "visual" and pred.event_type in gold_types:
-                counts["trigger_mismatch"] += 1
-            else:
-                counts["spurious_type"] += 1
-        counts["missing"] += sum(1 for gi in range(len(golds)) if gi not in matched_golds)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +258,47 @@ def overgen_stats(predicted: int, matched: int, gold: int) -> dict:
 
 
 def evaluate(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> dict:
+    """Full report. Each document's events are matched once; EM, AR, both
+    error taxonomies and over-generation all derive from that matching."""
     _check_setting(setting)
-    em = score_em(preds_by_doc, golds_by_doc, setting)
-    ar = score_ar(preds_by_doc, golds_by_doc, setting)
+    em_matched = em_pred = em_gold = 0
+    ar_matched = ar_pred = ar_gold = 0
+    em_errors = {k: 0 for k in EM_ERROR_KEYS}
+    ar_errors = {k: 0 for k in AR_ERROR_KEYS}
+    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
+        preds = preds_by_doc.get(doc_id, [])
+        golds = golds_by_doc.get(doc_id, [])
+        pairs = dict(match_events(preds, golds, setting))
+        em_matched += len(pairs)
+        em_pred += len(preds)
+        em_gold += len(golds)
+        em_errors["missing"] += len(golds) - len(pairs)
+        ar_pred += sum(len(_args_of(p)) for p in preds)
+        ar_gold += sum(len(_args_of(g)) for g in golds)
+        gold_types = {g.event_type for g in golds}
+        by_type = _gold_args_by_type(golds)
+        for pi, pred in enumerate(preds):
+            if pi in pairs:
+                matched, unmatched = _match_args(pred, golds[pairs[pi]])
+                ar_matched += matched
+            else:
+                unmatched = _args_of(pred)
+                if setting != "visual" and pred.event_type in gold_types:
+                    em_errors["trigger_mismatch"] += 1
+                else:
+                    em_errors["spurious_type"] += 1
+            for modality, role, grounding in unmatched:
+                key = _classify_one(modality, role, grounding, by_type.get(pred.event_type, []))
+                ar_errors[key] += 1
+    ar_errors["total"] = sum(ar_errors[k] for k in AR_ERROR_KEYS)
+    em = PRF.from_counts(em_matched, em_pred, em_gold)
+    ar = PRF.from_counts(ar_matched, ar_pred, ar_gold)
     return {
         "setting": setting,
         "em": em.to_json(),
         "ar": ar.to_json(),
-        "em_errors": classify_em_errors(preds_by_doc, golds_by_doc, setting),
-        "ar_errors": classify_ar_errors(preds_by_doc, golds_by_doc, setting),
+        "em_errors": em_errors,
+        "ar_errors": ar_errors,
         "span_relations": span_profile(preds_by_doc, golds_by_doc),
         "overgen": overgen_stats(ar.predicted, ar.matched, ar.gold),
     }

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from mmevents.cli import load_corpus
-from mmevents.pipeline import EventRecord
+from mmevents.schema import EventRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = FIXTURES / "scripts"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mmevents import agents as ag
@@ -46,6 +48,23 @@ def test_parse_operations_skips_bad_items():
     proposals, diags = ag.parse_operations(raw, "verifier")
     assert [p.op.op_type for p in proposals] == ["drop"]
     assert len(diags) == 3
+
+
+@pytest.mark.parametrize("item", [
+    {"op": "link", "target": ["HE1"], "payload": {"vertex": "T1"}},
+    {"op": "propose", "alias": ["x"], "payload": {"event_type": "Contact:Meet"}},
+    {"op": "propose", "payload": {"event_type": "Contact:Meet", "alias": 5}},
+    {"op": "propose", "payload": {"event_type": {"a": 1}}},
+    {"op": "revise", "target": "HE1", "payload": {"event_type": ["Contact:Meet"]}},
+    {"op": "link", "target": "HE1", "payload": {"vertex": ["T1"]}},
+    {"op": "propose", "payload": {"event_type": "Contact:Meet", "members": 5}},
+    {"op": "propose", "payload": {"event_type": "Contact:Meet", "members": ["T1", 2]}},
+])
+def test_parse_operations_drops_malformed_field_shapes(item):
+    raw = json.dumps([item, {"op": "drop", "target": "HE1"}])
+    proposals, diags = ag.parse_operations(raw, "linker")
+    assert [p.op.op_type for p in proposals] == ["drop"]
+    assert len(diags) == 1 and diags[0].startswith("linker[0]: ")
 
 
 def test_parse_operations_alias_in_payload():

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -167,3 +168,32 @@ def test_cli_flag_overrides_config_file(tmp_path):
     preds2 = {json.loads(l)["doc_id"]: json.loads(l)["events"]
               for l in (out2 / "predictions.jsonl").read_text(encoding="utf-8").splitlines()}
     assert len(preds2["ideal_text"]) == 1
+
+
+_BIND = {"role": "Vehicle", "confidence": 0.9}
+_PROPOSE = {"event_type": "Movement:Transport", "trigger": {"text": "riding"}, "members": []}
+
+
+@pytest.mark.parametrize("reply_file,reply", [
+    ("0/binder.json", [{"edge": "HE2", "box": 5, **_BIND}]),
+    ("0/binder.json", [{"edge": "HE2", "box": [1, 2], **_BIND}]),
+    ("0/binder.json", [{"edge": ["HE2"], "vertex": "T3", **_BIND}]),
+    ("0/binder.json", [{"edge": "HE2", "vertex": ["T3"], **_BIND}]),
+    ("1/proposer.json", [{"op": "propose", "alias": "e_trans",
+                          "payload": {**_PROPOSE, "trigger": {"start": "x", "end": 3}}}]),
+    ("1/proposer.json", [{"op": "propose", "alias": "e_trans", "payload": {**_PROPOSE, "members": 5}}]),
+    ("1/proposer.json", [{"op": "propose", "alias": "e_trans",
+                          "payload": {**_PROPOSE, "event_type": {"a": 1}}}]),
+    ("1/proposer.json", [{"op": "propose", "alias": ["x"], "payload": _PROPOSE}]),
+    ("1/linker.json", [{"op": "link", "target": ["HE1"], "payload": {"vertex": "T1"}}]),
+], ids=["box-number", "box-short", "edge-list", "vertex-list", "trigger-start-text",
+        "members-number", "event-type-object", "alias-list", "target-list"])
+def test_run_survives_malformed_reply(tmp_path, reply_file, reply):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / "scripts" / "case_convoy" / reply_file).write_text(json.dumps(reply), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("run", "--corpus", str(fixtures / "corpus.jsonl"), "--backend", "script",
+                   "--script-dir", str(fixtures / "scripts"), "--out-dir", str(out))
+    assert code in (0, 2)
+    assert (out / "manifest.json").exists()

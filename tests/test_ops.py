@@ -16,7 +16,6 @@ from mmevents.ops import (
     apply_commit,
     canonical_payload,
     equivalent,
-    replay,
     replay_rounds,
     resolve_conflicts,
     resolve_trigger_text,
@@ -67,6 +66,12 @@ def test_canonical_payload_propose_sorts_members():
     assert a["members"] == ["T1", "T2"]
 
 
+def test_canonical_payload_coerces_numeric_trigger_offsets():
+    out = canonical_payload("propose", {"event_type": "Conflict:Attack",
+                                        "trigger": {"start": "3", "end": 5.0}})
+    assert out["trigger"] == {"start": 3, "end": 5}
+
+
 def test_resolve_trigger_text():
     op = Operation("propose", None, {"event_type": "Conflict:Attack",
                                      "trigger": {"text": "bravo"}})
@@ -91,6 +96,9 @@ def test_resolve_trigger_text():
     (Operation("adjust_confidence", "HE1", {}), MissingField),
     (Operation("adjust_confidence", "HE1", {"value": 1.5}), OutOfRangeConfidence),
     (Operation("adjust_confidence", "HE1", {"value": "high"}), OutOfRangeConfidence),
+    (Operation("propose", None, {"event_type": "Conflict:Attack",
+                                 "trigger": {"start": "x", "end": 3}}), MissingField),
+    (Operation("revise", "HE1", {"trigger": {"start": [0], "end": 5}}), MissingField),
 ])
 def test_validate_rejections(op, exc):
     with pytest.raises(exc):
@@ -289,22 +297,23 @@ def test_replay_reconstructs_state_per_round():
     h2, trail = _commit(h1, [
         P("verifier", Operation("adjust_confidence", "HE1", {"value": 0.9}), 0),
     ], trail, 2)
-    assert replay(h0, trail, SCHEMA, DOC) == h2
     states = dict(replay_rounds(h0, trail, SCHEMA, DOC))
+    assert list(states) == [1, 2]
     assert states[1] == h1
     assert states[2] == h2
 
 
 def test_replay_empty_trail_is_initial_state():
     h0 = base_graph()
-    assert replay(h0, [], SCHEMA, DOC) == h0
+    # no round to replay: the replayed state stays the initial one
+    assert list(replay_rounds(h0, [], SCHEMA, DOC)) == []
 
 
 def test_replay_tampered_trail_raises():
     h0 = base_graph()
     trail = [AuditEntry("linker", "link", "HE1", {"vertex": "T1"}, 1)]
     with pytest.raises(InternalInconsistency):
-        replay(h0, trail, SCHEMA, DOC)
+        list(replay_rounds(h0, trail, SCHEMA, DOC))
     trail = [
         AuditEntry("proposer", "propose", "HE1",
                    {"event_type": "Conflict:Attack",
@@ -312,7 +321,7 @@ def test_replay_tampered_trail_raises():
         AuditEntry("linker", "link", "HE1", {"vertex": "T9"}, 1),
     ]
     with pytest.raises(InternalInconsistency):
-        replay(h0, trail, SCHEMA, DOC)
+        list(replay_rounds(h0, trail, SCHEMA, DOC))
 
 
 def test_replay_propose_id_mismatch_raises():
@@ -321,4 +330,4 @@ def test_replay_propose_id_mismatch_raises():
                         {"event_type": "Conflict:Attack",
                          "trigger": {"start": 0, "end": 5}, "members": []}, 1)]
     with pytest.raises(InternalInconsistency):
-        replay(h0, trail, SCHEMA, DOC)
+        list(replay_rounds(h0, trail, SCHEMA, DOC))

@@ -9,7 +9,7 @@ from mmevents.ops import (
     append_log,
     apply_commit,
     equivalent,
-    replay,
+    replay_rounds,
     resolve_conflicts,
 )
 from mmevents.schema import default_schema
@@ -149,7 +149,8 @@ def test_arrival_order_invariance(rounds, rng):
 def test_replay_soundness_after_every_round(rounds):
     h0, snapshots = _run(rounds)
     for _unit, h, trail, _before in snapshots:
-        assert replay(h0, trail, SCHEMA, DOC) == h
+        states = [h0] + [state for _round, state in replay_rounds(h0, trail, SCHEMA, DOC)]
+        assert states[-1] == h
 
 
 @COMMON

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from mmevents import agents as ag
+from mmevents import ops
+from mmevents.errors import InternalInconsistency
 from mmevents.hypergraph import Document, Hyperedge, RoleBinding, TextSpan, create_hypergraph
 from mmevents.pipeline import (
-    EventRecord,
     PipelineConfig,
     agg_conf,
     consolidate,
@@ -14,7 +15,7 @@ from mmevents.pipeline import (
     run_document,
     validate_record,
 )
-from mmevents.schema import default_schema
+from mmevents.schema import EventRecord, default_schema
 
 SCHEMA = default_schema()
 
@@ -215,6 +216,22 @@ def _negotiation_replies(extra_link_payload=""):
             {"edge": "HE1", "vertex": "T1", "role": "Artifact", "confidence": 0.9},
         ]),
     }
+
+
+def test_role_binding_leaked_into_negotiation_raises(monkeypatch):
+    # link-then-bind is checked by an exception, so it holds under `python -O`
+    real_apply = ops.apply_commit
+
+    def leaky_apply(*args, **kwargs):
+        h = real_apply(*args, **kwargs)
+        edge = next(iter(h.edges.values()))
+        edge.roles.append(RoleBinding(sorted(edge.members)[0], "Artifact", 0.9))
+        return h
+
+    monkeypatch.setattr(ops, "apply_commit", leaky_apply)
+    doc = Document("d", CONVOY)
+    with pytest.raises(InternalInconsistency):
+        run_document(doc, FakeBackend(_negotiation_replies()), None, PipelineConfig(), SCHEMA)
 
 
 def test_mode_no_linker_all_to_all_fallback():

@@ -1,17 +1,16 @@
 import pytest
 
+from conftest import FIXTURES, load_records
+from mmevents import scorer
 from mmevents.errors import UnknownSetting
-from mmevents.pipeline import EventRecord
+from mmevents.schema import EventRecord
 from mmevents.scorer import (
     PRF,
-    classify_ar_errors,
-    classify_em_errors,
+    SETTINGS,
     evaluate,
     match_events,
     overgen_stats,
     render_report,
-    score_ar,
-    score_em,
     span_profile,
     span_relation,
 )
@@ -34,7 +33,7 @@ def test_prf_zero_division_conventions():
 
 def test_unknown_setting_raises():
     with pytest.raises(UnknownSetting):
-        score_em({}, {}, "audio")
+        evaluate({}, {}, "audio")
 
 
 def test_match_events_greedy_one_to_one():
@@ -71,10 +70,10 @@ def test_argument_matching_text_and_image():
     golds = {"d": [ev("Conflict:Attack", "bombed",
                       text=[("Attacker", "The rebels")],
                       image=[("Target", [0, 0, 100, 100])])]}
-    ar = score_ar(preds, golds, "multimedia")
+    ar = evaluate(preds, golds, "multimedia")["ar"]
     # text matches by normalized equality; IoU exactly 0.5 counts as a match
-    assert ar.matched == 2 and ar.predicted == 2 and ar.gold == 2
-    assert ar.f1 == 1.0
+    assert ar["matched"] == 2 and ar["predicted"] == 2 and ar["gold"] == 2
+    assert ar["f1"] == 1.0
 
 
 def test_ar_errors_decision_order():
@@ -88,7 +87,7 @@ def test_ar_errors_decision_order():
                       image=[("Target", [500, 500, 600, 600]),  # no overlapping box
                              ("Attacker", [0, 0, 100, 95])]),   # box hits a Target
                    ev("Life:Die", "died", text=[("Victim", "men")])]}
-    errs = classify_ar_errors(preds, golds, "multimedia")
+    errs = evaluate(preds, golds, "multimedia")["ar_errors"]
     assert errs["role_misassignment"] == 2
     assert errs["span_mismatch"] == 1
     assert errs["spurious"] == 1
@@ -101,10 +100,10 @@ def test_em_errors():
     golds = {"d": [ev("Conflict:Attack", "bombed"), ev("Life:Die", "died")]}
     preds = {"d": [ev("Conflict:Attack", "struck", conf=0.9),
                    ev("Contact:Meet", "met", conf=0.8)]}
-    errs = classify_em_errors(preds, golds, "textual")
+    errs = evaluate(preds, golds, "textual")["em_errors"]
     assert errs == {"spurious_type": 1, "trigger_mismatch": 1, "missing": 2}
     # trigger mismatches cannot exist in the visual setting
-    errs_v = classify_em_errors(preds, golds, "visual")
+    errs_v = evaluate(preds, golds, "visual")["em_errors"]
     assert errs_v["trigger_mismatch"] == 0
 
 
@@ -149,3 +148,18 @@ def test_evaluate_report_shape_and_render():
     text = render_report(report)
     assert "setting: textual" in text
     assert "F1=1.000" in text
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_evaluate_matches_each_document_once(setting, monkeypatch):
+    preds = load_records(FIXTURES / "scoring" / f"{setting}_pred.jsonl")
+    golds = load_records(FIXTURES / "scoring" / f"{setting}_gold.jsonl")
+    calls = []
+
+    def counting(preds_, golds_, setting_):
+        calls.append(1)
+        return match_events(preds_, golds_, setting_)
+
+    monkeypatch.setattr(scorer, "match_events", counting)
+    evaluate(preds, golds, setting)
+    assert len(calls) == len(set(preds) | set(golds))
