@@ -7,12 +7,12 @@ crash the pipeline, it just yields zero operations plus diagnostics.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
+from .boxes import greedy_match, is_box
 from .errors import (
     AgentUnavailable,
     BackendHTTPError,
@@ -30,10 +30,6 @@ LINKER = "linker"
 VERIFIER = "verifier"
 BINDER = "binder"
 CONSOLIDATOR = "consolidator"
-
-ROLES = (SEEDER, PROPOSER, LINKER, VERIFIER, BINDER, CONSOLIDATOR)
-# Fixed tie-break order for same-round conflicts.
-NEGOTIATION_ORDER = (PROPOSER, LINKER, VERIFIER)
 
 
 def role_instructions(role: str) -> str:
@@ -253,10 +249,58 @@ def _requests_post(url, body, headers, timeout):
         raise BackendHTTPError(str(exc)) from exc
     if resp.status_code != 200:
         raise BackendHTTPError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-    return resp.json()
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise BackendHTTPError(f"reply body is not JSON: {exc}") from exc
 
 
-class LiveBackend:
+class _HTTPClient:
+    """Request loop shared by the live clients, which set url, api_key,
+    retries, timeout and _post."""
+
+    def _request(self, body, read):
+        """POST `body` until `read` accepts the reply body, at most
+        retries + 1 times. `read` raises BackendHTTPError for a malformed
+        body, which is then retried like an HTTP error. Returns (value,
+        attempts, None), or (None, attempts, last error) once the retries
+        are spent."""
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        attempts = 0
+        last_exc: Optional[Exception] = None
+        while attempts <= self.retries:
+            attempts += 1
+            try:
+                return read(self._post(self.url, body, headers, self.timeout)), attempts, None
+            except (BackendTimeout, BackendHTTPError) as exc:
+                last_exc = exc
+        return None, attempts, last_exc
+
+
+def _chat_reply(data) -> tuple[str, Optional[dict]]:
+    """Reply text and integer token counts of a chat-completions body."""
+    try:
+        content = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise BackendHTTPError(f"reply body lacks choices[0].message.content ({exc!r})") from exc
+    if not isinstance(content, str):
+        raise BackendHTTPError(f"reply content {content!r} is not a string")
+    usage = data.get("usage")
+    if not isinstance(usage, dict):
+        return content, None
+    return content, {k: v for k, v in usage.items() if isinstance(v, int)}
+
+
+def _body_field(data, key: str, kind: type):
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        raise BackendHTTPError(f"reply body lacks a {kind.__name__} {key!r}")
+    return value
+
+
+class LiveBackend(_HTTPClient):
     """Chat-completions-style HTTP backend.
 
     Request body: {"model", "messages": [system, user], "temperature",
@@ -294,22 +338,13 @@ class LiveBackend:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        attempts = 0
-        last_exc: Optional[Exception] = None
-        while attempts <= self.retries:
-            attempts += 1
-            try:
-                data = self._post(self.url, body, headers, self.timeout)
-                ledger.record_main(stage, attempts=attempts, usage=data.get("usage"))
-                return data["choices"][0]["message"]["content"]
-            except (BackendTimeout, BackendHTTPError) as exc:
-                last_exc = exc
-                time.sleep(0)  # retries are immediate; callers own pacing
-        ledger.record_main(stage, attempts=attempts)
-        raise AgentUnavailable(f"{role} backend failed after {attempts} attempts: {last_exc}")
+        reply, attempts, error = self._request(body, _chat_reply)
+        if error is not None:
+            ledger.record_main(stage, attempts=attempts)
+            raise AgentUnavailable(f"{role} backend failed after {attempts} attempts: {error}")
+        content, usage = reply
+        ledger.record_main(stage, attempts=attempts, usage=usage)
+        return content
 
 
 class ScriptedBackend:
@@ -354,9 +389,12 @@ class VisionTool(Protocol):
                  stage: str) -> list[tuple[list[int], str, float]]: ...
 
 
-def clip_box(box: Sequence, doc: Document, diagnostics: list[str]) -> Optional[list[int]]:
-    """Clip a box to image bounds; None if nothing remains."""
+def clip_box(box, doc: Document, diagnostics: list[str]) -> Optional[list[int]]:
+    """Clip a box to image bounds; None if it is malformed or nothing remains."""
     if doc.image is None:
+        return None
+    if not is_box(box):
+        diagnostics.append(f"box {box!r} is not a list of four finite numbers, discarded")
         return None
     x0, y0, x1, y1 = (int(round(v)) for v in box)
     cx0, cy0 = max(0, x0), max(0, y0)
@@ -369,7 +407,22 @@ def clip_box(box: Sequence, doc: Document, diagnostics: list[str]) -> Optional[l
     return [cx0, cy0, cx1, cy1]
 
 
-class LiveVisionTool:
+def _region_tuples(regions) -> list[tuple[object, str, float]]:
+    """(box, label, score) per localize region; boxes are checked by clip_box."""
+    if not isinstance(regions, list):
+        raise VisionUnavailable(f"localize reply {regions!r} is not a list of regions")
+    out = []
+    for region in regions:
+        if not isinstance(region, dict) or "box" not in region:
+            raise VisionUnavailable(f"localize region {region!r} is not an object with a box")
+        score = region.get("score", 0.0)
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise VisionUnavailable(f"localize region score {score!r} is not a number")
+        out.append((region["box"], str(region.get("label", "")), float(score)))
+    return out
+
+
+class LiveVisionTool(_HTTPClient):
     """HTTP vision tool. POST {"model", "task", "image", "query"?};
     expects {"text": ...} for describe and {"regions": [{"box", "label",
     "score"}]} for localize."""
@@ -383,38 +436,26 @@ class LiveVisionTool:
         self.timeout = timeout
         self._post = post or _requests_post
 
-    def _call(self, body):
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        attempts = 0
-        last_exc: Optional[Exception] = None
-        while attempts <= self.retries:
-            attempts += 1
-            try:
-                return self._post(self.url, body, headers, self.timeout)
-            except (BackendTimeout, BackendHTTPError) as exc:
-                last_exc = exc
-        raise VisionUnavailable(f"vision tool failed after {attempts} attempts: {last_exc}")
+    def _call(self, body, key: str, kind: type):
+        value, attempts, error = self._request(body, lambda data: _body_field(data, key, kind))
+        if error is not None:
+            raise VisionUnavailable(f"vision tool failed after {attempts} attempts: {error}")
+        return value
 
     def describe(self, doc, ledger, stage):
-        data = self._call({"model": self.model, "task": "describe",
-                           "image": doc.image.path if doc.image else None})
+        text = self._call({"model": self.model, "task": "describe",
+                           "image": doc.image.path if doc.image else None}, "text", str)
         ledger.record_vision(stage)
-        text = data.get("text", "")
         if not text:
             raise VisionUnavailable("describe returned empty text")
         return text
 
     def localize(self, doc, query, ledger, stage):
-        data = self._call({"model": self.model, "task": "localize",
-                           "image": doc.image.path if doc.image else None, "query": query})
+        regions = self._call({"model": self.model, "task": "localize",
+                              "image": doc.image.path if doc.image else None, "query": query},
+                             "regions", list)
         ledger.record_vision(stage)
-        out = []
-        for region in data.get("regions", []):
-            out.append((list(region["box"]), str(region.get("label", "")),
-                        float(region.get("score", 0.0))))
-        return out
+        return _region_tuples(regions)
 
 
 class ScriptedVisionTool:
@@ -429,28 +470,28 @@ class ScriptedVisionTool:
         self.script_dir = Path(script_dir)
         self._localize_cursor: dict[str, int] = {}
 
-    def describe(self, doc, ledger, stage):
-        path = self.script_dir / doc.doc_id / "vision" / "describe.json"
+    def _fixture(self, doc, task: str):
+        path = self.script_dir / doc.doc_id / "vision" / f"{task}.json"
         if not path.exists():
-            raise VisionUnavailable(f"no describe fixture at {path}")
+            raise VisionUnavailable(f"no {task} fixture at {path}")
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise VisionUnavailable(f"{task} fixture at {path} is not JSON: {exc}") from exc
+
+    def describe(self, doc, ledger, stage):
+        data = self._fixture(doc, "describe")
         ledger.record_vision(stage)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return data["text"]
+        return _body_field(data, "text", str)
 
     def localize(self, doc, query, ledger, stage):
-        path = self.script_dir / doc.doc_id / "vision" / "localize.json"
-        if not path.exists():
-            raise VisionUnavailable(f"no localize fixture at {path}")
-        replies = json.loads(path.read_text(encoding="utf-8"))
+        replies = self._fixture(doc, "localize")
         cursor = self._localize_cursor.get(doc.doc_id, 0)
-        if cursor >= len(replies):
+        if not isinstance(replies, list) or cursor >= len(replies):
             raise VisionUnavailable(f"localize fixtures for {doc.doc_id} exhausted")
         self._localize_cursor[doc.doc_id] = cursor + 1
         ledger.record_vision(stage)
-        return [
-            (list(r["box"]), str(r.get("label", "")), float(r.get("score", 0.0)))
-            for r in replies[cursor]
-        ]
+        return _region_tuples(replies[cursor])
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +505,6 @@ def match_localizations(
 ) -> list[tuple[int, Vertex, float]]:
     """Greedy one-to-one IoU matching of proposed boxes to linked image
     vertices; pairs below `iou_align` are discarded."""
-    from .boxes import greedy_match
-
     refs = [v.localization.as_list() for v in linked_image_vertices
             if isinstance(v.localization, BoxRegion)]
     verts = [v for v in linked_image_vertices if isinstance(v.localization, BoxRegion)]

@@ -1,9 +1,24 @@
 """Bounding-box geometry: IoU and greedy one-to-one matching."""
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 Box = Sequence[float]  # [x_min, y_min, x_max, y_max]
+
+
+def is_box(value) -> bool:
+    """True for a list of four finite numbers (bools excluded); JSON
+    input may carry NaN and Infinity."""
+    return (
+        isinstance(value, list)
+        and len(value) == 4
+        and all(
+            (isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v))
+            for v in value
+        )
+    )
 
 
 def iou(a: Box, b: Box) -> float:

@@ -193,7 +193,10 @@ def _load_records_file(path: str | Path) -> dict[str, list[EventRecord]]:
         if not line.strip():
             continue
         obj = json.loads(line)
-        out[obj["doc_id"]] = [EventRecord.from_json(e) for e in obj.get("events", [])]
+        events = obj.get("events", []) if isinstance(obj, dict) else None
+        if not isinstance(events, list) or not isinstance(obj.get("doc_id"), str):
+            raise ValueError(f"line is not an object with a doc_id and an events list: {line[:80]}")
+        out[obj["doc_id"]] = [EventRecord.from_json(e) for e in events]
     return out
 
 
@@ -201,7 +204,7 @@ def cmd_eval(args) -> int:
     try:
         preds = _load_records_file(args.pred)
         golds = _load_records_file(args.gold)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return 1
     report = evaluate(preds, golds, args.setting)
@@ -256,14 +259,12 @@ def cmd_stats(args) -> int:
         return 1
     t_used_dist: dict[str, int] = {}
     ops_dist: dict[str, int] = {}
-    for doc_id, info in manifest["documents"].items():
+    for info in manifest["documents"].values():
         if info.get("status") != "ok":
             continue
         t_used_dist[str(info["t_used"])] = t_used_dist.get(str(info["t_used"]), 0) + 1
-        trail_file = run_dir / "trails" / f"{doc_id}.jsonl"
-        n_ops = len([l for l in trail_file.read_text(encoding="utf-8").splitlines() if l.strip()]) \
-            if trail_file.exists() else 0
-        ops_dist[str(n_ops)] = ops_dist.get(str(n_ops), 0) + 1
+        n_ops = str(info["committed_ops"])
+        ops_dist[n_ops] = ops_dist.get(n_ops, 0) + 1
     stats = {
         "t_used_distribution": dict(sorted(t_used_dist.items())),
         "committed_ops_distribution": dict(sorted(ops_dist.items())),

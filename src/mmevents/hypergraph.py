@@ -126,11 +126,6 @@ class Hypergraph:
     def copy(self) -> "Hypergraph":
         return copy.deepcopy(self)
 
-    def allocate_edge_id(self) -> str:
-        eid = f"HE{self.next_edge}"
-        self.next_edge += 1
-        return eid
-
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented

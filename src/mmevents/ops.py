@@ -32,7 +32,9 @@ FAMILIES = ("propose", "revise", "drop", "link", "unlink", "adjust_confidence")
 APPLICATION_ORDER = ("drop", "unlink", "propose", "revise", "link", "adjust_confidence")
 _FAMILY_RANK = {f: i for i, f in enumerate(APPLICATION_ORDER)}
 
-DEFAULT_AGENT_ORDER = ("proposer", "linker", "verifier")
+# Fixed tie-break order for same-round conflicts; other agents rank after
+# these, by id.
+AGENT_ORDER = ("proposer", "linker", "verifier")
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,6 @@ class Proposal:
     op: Operation
     rationale: str
     index: int = 0  # position within the agent's submission
-    resolved_target: Optional[str] = None  # filled at apply time
-
-
-@dataclass
-class CommitUnit:
-    round: int
-    accepted: list[Proposal] = field(default_factory=list)
-    rejected: list[tuple[Proposal, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,18 @@ class AuditEntry:
             payload=dict(obj.get("payload", {})),
             round=int(obj["round"]),
         )
+
+
+@dataclass
+class CommitUnit:
+    """One round's outcome. `entries` are the accepted proposals as audit
+    entries with concrete edge ids, in application order; they are the
+    only thing `apply_commit` applies."""
+
+    round: int
+    accepted: list[Proposal] = field(default_factory=list)
+    rejected: list[tuple[Proposal, str]] = field(default_factory=list)
+    entries: list[AuditEntry] = field(default_factory=list)
 
 
 def _canonical_trigger(raw) -> Optional[dict]:
@@ -224,19 +230,19 @@ def equivalent(op: Operation, entry: AuditEntry) -> bool:
     return op.target == entry.target and payload == entry.payload
 
 
-def _agent_rank(agent_id: str, agent_order: Sequence[str]) -> tuple:
+def _agent_rank(agent_id: str) -> tuple:
     try:
-        return (0, agent_order.index(agent_id))
+        return (0, AGENT_ORDER.index(agent_id))
     except ValueError:
         return (1, agent_id)
 
 
-def _sort_key(p: Proposal, agent_order: Sequence[str]) -> tuple:
-    return (_agent_rank(p.agent_id, agent_order), p.index)
+def _sort_key(p: Proposal) -> tuple:
+    return (_agent_rank(p.agent_id), p.index)
 
 
-def _application_key(p: Proposal, agent_order: Sequence[str]) -> tuple:
-    return (_FAMILY_RANK[p.op.op_type], _agent_rank(p.agent_id, agent_order), p.index)
+def _application_key(p: Proposal) -> tuple:
+    return (_FAMILY_RANK[p.op.op_type], _agent_rank(p.agent_id), p.index)
 
 
 def resolve_conflicts(
@@ -246,7 +252,6 @@ def resolve_conflicts(
     round: int,
     schema: EventSchema,
     text: Optional[str] = None,
-    agent_order: Sequence[str] = DEFAULT_AGENT_ORDER,
 ) -> CommitUnit:
     """Aggregate one round's proposals into a conflict-free commit unit.
 
@@ -255,7 +260,7 @@ def resolve_conflicts(
     order never matters.
     """
     unit = CommitUnit(round=round)
-    ordered = sorted(proposals, key=lambda p: _sort_key(p, agent_order))
+    ordered = sorted(proposals, key=_sort_key)
 
     aliases = frozenset(
         p.op.alias for p in ordered if p.op.op_type == "propose" and p.op.alias
@@ -336,8 +341,26 @@ def resolve_conflicts(
         else:
             resolved.append(p)
 
-    unit.accepted = sorted(resolved, key=lambda p: _application_key(p, agent_order))
+    unit.accepted = sorted(resolved, key=_application_key)
+    unit.entries = _audit_entries(unit.accepted, h.next_edge, round)
     return unit
+
+
+def _audit_entries(accepted: Sequence[Proposal], next_edge: int, round: int) -> list[AuditEntry]:
+    """Accepted proposals as audit entries: each propose takes the next
+    edge id in application order, and targets naming its alias take it too."""
+    ids: dict[str, str] = {}
+    entries = []
+    for p in accepted:
+        target = ids.get(p.op.target, p.op.target)
+        if p.op.op_type == "propose":
+            target = f"HE{next_edge}"
+            next_edge += 1
+            if p.op.alias:
+                ids[p.op.alias] = target
+        payload = canonical_payload(p.op.op_type, p.op.payload)
+        entries.append(AuditEntry(p.agent_id, p.op.op_type, target, payload, round))
+    return entries
 
 
 def _freeze(obj):
@@ -354,62 +377,76 @@ def apply_commit(
     schema: EventSchema,
     doc: Optional[hg.Document] = None,
 ) -> hg.Hypergraph:
-    """Apply an already-resolved commit unit, returning the successor state.
-
-    Fills each accepted proposal's resolved_target (aliases become real
-    edge ids) so the audit log can record concrete targets.
-    """
+    """Apply a commit unit's audit entries to a copy of `h` and return the
+    successor state; `h` itself is never mutated. Negotiation and replay
+    both commit through here."""
     out = h.copy()
-    alias_map: dict[str, str] = {}
-    for p in unit.accepted:
-        op = p.op
-        target = alias_map.get(op.target, op.target) if op.target else None
-        try:
-            assigned = _apply_op(out, op, target, alias_map)
-        except KeyError as exc:
-            raise InternalInconsistency(f"commit referenced missing id: {exc}") from exc
-        p.resolved_target = assigned if op.op_type == "propose" else target
+    for entry in unit.entries:
+        _apply_entry(out, entry)
     hg.check_invariants(out, schema, doc)
     if doc is not None:
         refresh_trigger_surfaces(out, doc.text)
     return out
 
 
-def _apply_op(out: hg.Hypergraph, op: Operation, target: Optional[str], alias_map: dict) -> Optional[str]:
-    if op.op_type == "drop":
-        del out.edges[target]
-    elif op.op_type == "unlink":
-        edge = out.edges[target]
-        vid = op.payload["vertex"]
-        edge.members.discard(vid)
-        edge.roles = [rb for rb in edge.roles if rb.vertex_id != vid]
-    elif op.op_type == "propose":
-        eid = out.allocate_edge_id()
-        trig = _canonical_trigger(op.payload.get("trigger"))
-        edge = hg.Hyperedge(
-            id=eid,
-            event_type=op.payload["event_type"],
-            members=set(op.payload.get("members") or []),
-            trigger=hg.TextSpan(trig["start"], trig["end"]) if trig else None,
+def _entry_span(raw) -> Optional[hg.TextSpan]:
+    try:
+        trig = _canonical_trigger(raw)
+    except MissingField as exc:
+        raise InternalInconsistency(f"trail entry trigger: {exc}") from exc
+    return hg.TextSpan(trig["start"], trig["end"]) if trig else None
+
+
+def _apply_entry(out: hg.Hypergraph, entry: AuditEntry) -> None:
+    """Apply one audit entry in place. Raises InternalInconsistency for an
+    entry that cannot apply to `out`: a propose whose id is not the next
+    one, an unknown target edge or vertex, or a malformed payload."""
+    kind, target, payload = entry.op_type, entry.target, entry.payload
+    if kind == "propose":
+        expected = f"HE{out.next_edge}"
+        if target != expected:
+            raise InternalInconsistency(f"propose expected id {expected}, trail says {target}")
+        members = payload.get("members") or []
+        if not isinstance(payload.get("event_type"), str) or not (
+            isinstance(members, list) and all(isinstance(m, str) for m in members)
+        ):
+            raise InternalInconsistency(f"malformed propose payload {payload!r}")
+        out.next_edge += 1
+        out.edges[target] = hg.Hyperedge(
+            id=target,
+            event_type=payload["event_type"],
+            members=set(members),
+            trigger=_entry_span(payload.get("trigger")),
         )
-        out.edges[eid] = edge
-        if op.alias:
-            alias_map[op.alias] = eid
-        return eid
-    elif op.op_type == "revise":
-        edge = out.edges[target]
-        if "event_type" in op.payload:
-            edge.event_type = op.payload["event_type"]
-        if "trigger" in op.payload and op.payload["trigger"] is not None:
-            trig = _canonical_trigger(op.payload["trigger"])
-            edge.trigger = hg.TextSpan(trig["start"], trig["end"])
-    elif op.op_type == "link":
-        out.edges[target].members.add(op.payload["vertex"])
-    elif op.op_type == "adjust_confidence":
-        out.edges[target].confidence = float(op.payload["value"])
+        return
+    if not isinstance(target, str) or target not in out.edges:
+        raise InternalInconsistency(f"trail entry targets unknown edge {target!r}")
+    edge = out.edges[target]
+    if kind == "drop":
+        del out.edges[target]
+    elif kind in ("link", "unlink"):
+        vid = payload.get("vertex")
+        if not isinstance(vid, str) or vid not in out.vertices:
+            raise InternalInconsistency(f"trail entry names unknown vertex {vid!r}")
+        if kind == "link":
+            edge.members.add(vid)
+        else:
+            edge.members.discard(vid)
+            edge.roles = [rb for rb in edge.roles if rb.vertex_id != vid]
+    elif kind == "revise":
+        if "event_type" in payload:
+            if not isinstance(payload["event_type"], str):
+                raise InternalInconsistency(f"malformed revise payload {payload!r}")
+            edge.event_type = payload["event_type"]
+        if payload.get("trigger") is not None:
+            edge.trigger = _entry_span(payload["trigger"])
+    elif kind == "adjust_confidence":
+        value = payload.get("value")
+        if not isinstance(value, (int, float)):
+            raise InternalInconsistency(f"confidence value {value!r} is not a number")
+        edge.confidence = float(value)
     else:
-        raise InternalInconsistency(f"unapplicable operation family {op.op_type!r}")
-    return None
+        raise InternalInconsistency(f"unapplicable operation family {kind!r}")
 
 
 def refresh_trigger_surfaces(h: hg.Hypergraph, text: str) -> None:
@@ -419,48 +456,15 @@ def refresh_trigger_surfaces(h: hg.Hypergraph, text: str) -> None:
 
 
 def append_log(trail: Sequence[AuditEntry], unit: CommitUnit) -> list[AuditEntry]:
-    """One entry per accepted proposal, in application order."""
-    new = list(trail)
-    for p in unit.accepted:
-        new.append(
-            AuditEntry(
-                agent_id=p.agent_id,
-                op_type=p.op.op_type,
-                target=p.resolved_target if p.resolved_target else p.op.target,
-                payload=canonical_payload(p.op.op_type, p.op.payload),
-                round=unit.round,
-            )
-        )
-    return new
+    """The trail extended by the unit's entries, in application order."""
+    return list(trail) + unit.entries
 
 
 def replay_rounds(h0: hg.Hypergraph, trail: Sequence[AuditEntry], schema: EventSchema, doc=None):
-    """Fold the audit trail over the edge-free initial state, yielding
-    (round, state) after each replayed round."""
-    out = h0.copy()
+    """Fold the audit trail over the edge-free initial state through
+    `apply_commit`, yielding (round, state) after each replayed round.
+    Each state is the next round's input, so do not mutate it."""
+    h = h0
     for rnd, entries in itertools.groupby(trail, key=lambda e: e.round):
-        for entry in entries:
-            _replay_entry(out, entry)
-        hg.check_invariants(out, schema, doc)
-        if doc is not None:
-            refresh_trigger_surfaces(out, doc.text)
-        yield rnd, out.copy()
-
-
-def _replay_entry(out: hg.Hypergraph, entry: AuditEntry) -> None:
-    op = Operation(entry.op_type, entry.target, dict(entry.payload))
-    if entry.op_type == "propose":
-        expected = f"HE{out.next_edge}"
-        if entry.target != expected:
-            raise InternalInconsistency(
-                f"replayed propose expected id {expected}, trail says {entry.target}"
-            )
-        _apply_op(out, op, None, {})
-    else:
-        if entry.op_type != "propose" and entry.target not in out.edges:
-            raise InternalInconsistency(f"trail entry targets unknown edge {entry.target!r}")
-        if entry.op_type in ("link", "unlink") and entry.payload.get("vertex") not in out.vertices:
-            raise InternalInconsistency(
-                f"trail entry names unknown vertex {entry.payload.get('vertex')!r}"
-            )
-        _apply_op(out, op, entry.target, {})
+        h = apply_commit(h, CommitUnit(rnd, entries=list(entries)), schema, doc)
+        yield rnd, h

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import agents as ag
 from . import ops
+from .boxes import is_box
 from .errors import (
     DuplicateLocalization,
     EngineError,
@@ -159,7 +160,7 @@ def negotiate(
     if cfg.mode != "no-verifier":
         roles.append(ag.VERIFIER)
 
-    h = h0.copy()
+    h = h0  # apply_commit returns a new state and never mutates its input
     trail: list[ops.AuditEntry] = []
     last_committed_round = 0
 
@@ -173,10 +174,7 @@ def negotiate(
             proposals.extend(props)
         proposals = _resolve_proposal_triggers(proposals, doc.text, diagnostics)
 
-        unit = ops.resolve_conflicts(
-            proposals, h, trail, t, schema,
-            text=doc.text, agent_order=ag.NEGOTIATION_ORDER,
-        )
+        unit = ops.resolve_conflicts(proposals, h, trail, t, schema, text=doc.text)
         for p, reason in unit.rejected:
             diagnostics.append(f"round {t}: rejected {p.agent_id} {p.op.op_type}: {reason}")
 
@@ -291,8 +289,8 @@ def bind_roles(
                 edge.roles.append(rb)
         elif "box" in item:
             box = item["box"]
-            if not _is_box(box):
-                diagnostics.append(f"bind[{i}]: box {box!r} is not a list of four numbers, dropped")
+            if not is_box(box):
+                diagnostics.append(f"bind[{i}]: box {box!r} is not a list of four finite numbers, dropped")
                 continue
             box_proposals.setdefault(eid, []).append((box, role, conf))
         elif "query" in item:
@@ -326,14 +324,6 @@ def bind_roles(
             rb = _retain_binding(edge, vertex.id, role, conf, cfg, schema, diagnostics)
             if rb:
                 edge.roles.append(rb)
-
-
-def _is_box(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 4
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
 
 
 def roles_from_link_payloads(

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .boxes import is_box
+
 DEFAULT_ENTRIES: dict[str, list[str]] = {
     "Movement:Transport": ["Agent", "Artifact", "Vehicle", "Destination", "Origin"],
     "Conflict:Attack": ["Attacker", "Target", "Instrument", "Place"],
@@ -104,11 +106,35 @@ class EventRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EventRecord":
+        """Raises ValueError for a record of the wrong shape."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"event record {obj!r} is not an object")
+        text_args = obj.get("text_arguments", [])
+        image_args = obj.get("image_arguments", [])
+        confidence = obj.get("confidence")
+        non_extractive = obj.get("non_extractive", [])
+        if not isinstance(obj.get("event_type"), str) or not isinstance(obj.get("trigger", ""), str):
+            raise ValueError("event record needs a string event_type and trigger")
+        if not _is_pairs(text_args, lambda t: isinstance(t, str)) or not _is_pairs(image_args, is_box):
+            raise ValueError("arguments must be [role, text] or [role, four-number box] pairs")
+        event = confidence.get("event") if isinstance(confidence, dict) else None
+        number = isinstance(event, (int, float)) and not isinstance(event, bool)
+        if confidence is not None and not (isinstance(confidence, dict) and (event is None or number)):
+            raise ValueError(f"confidence {confidence!r} is not an object with a numeric event score")
+        if not isinstance(non_extractive, list):
+            raise ValueError("non_extractive must be a list")
         return cls(
             event_type=obj["event_type"],
             trigger=obj.get("trigger", ""),
-            text_arguments=[(r, t) for r, t in obj.get("text_arguments", [])],
-            image_arguments=[(r, list(b)) for r, b in obj.get("image_arguments", [])],
-            confidence=obj.get("confidence"),
-            non_extractive=list(obj.get("non_extractive", [])),
+            text_arguments=[(r, t) for r, t in text_args],
+            image_arguments=[(r, list(b)) for r, b in image_args],
+            confidence=confidence,
+            non_extractive=list(non_extractive),
         )
+
+
+def _is_pairs(value, valid) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and valid(p[1])
+        for p in value
+    )

@@ -182,6 +182,80 @@ def test_live_backend_recovers_on_retry():
     assert led.main_attempts == 2
 
 
+@pytest.mark.parametrize("body", [
+    {}, {"choices": []}, {"choices": [{"message": {"content": 5}}]}, [1],
+], ids=["empty-object", "no-choices", "content-number", "list"])
+def test_live_backend_retries_malformed_body(body):
+    calls = []
+
+    def post(url, body_, headers, timeout):
+        calls.append(1)
+        return body
+
+    backend = ag.LiveBackend("http://x", "m", retries=2, post=post)
+    led = ag.CallLedger()
+    with pytest.raises(AgentUnavailable):
+        backend.invoke("proposer", "ctx", "d", 1, led, "negotiate")
+    assert len(calls) == 3
+    assert led.main_attempts == 3
+
+
+def test_live_backend_retries_non_json_reply(monkeypatch):
+    requests = pytest.importorskip("requests")
+
+    class Reply:
+        status_code = 200
+        text = "<html>"
+
+        def json(self):
+            raise ValueError("Expecting value")
+
+    calls = []
+    monkeypatch.setattr(requests, "post", lambda *a, **kw: calls.append(1) or Reply())
+    backend = ag.LiveBackend("http://x", "m", retries=1)
+    with pytest.raises(AgentUnavailable, match="not JSON"):
+        backend.invoke("proposer", "ctx", "d", 1, ag.CallLedger(), "negotiate")
+    assert len(calls) == 2
+
+
+def test_live_backend_ignores_non_integer_token_counts():
+    def post(url, body, headers, timeout):
+        return {"choices": [{"message": {"content": "ok"}}],
+                "usage": {"prompt_tokens": "many", "completion_tokens": 7}}
+
+    led = ag.CallLedger()
+    assert ag.LiveBackend("http://x", "m", post=post).invoke(
+        "proposer", "ctx", "d", 1, led, "negotiate") == "ok"
+    assert (led.input_tokens, led.output_tokens) == (0, 7)
+
+
+@pytest.mark.parametrize("task,body", [
+    ("describe", {}), ("describe", {"text": 5}), ("localize", {}),
+    ("localize", {"regions": {"box": [0, 0, 1, 1]}}), ("localize", [1]),
+])
+def test_live_vision_retries_malformed_body(task, body):
+    calls = []
+
+    def post(url, body_, headers, timeout):
+        calls.append(1)
+        return body
+
+    tool = ag.LiveVisionTool("http://v", retries=1, post=post)
+    with pytest.raises(VisionUnavailable, match="after 2 attempts"):
+        if task == "describe":
+            tool.describe(DOC, ag.CallLedger(), "seed")
+        else:
+            tool.localize(DOC, "q", ag.CallLedger(), "seed")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("region", [5, {"label": "x"}, {"box": [0, 0, 1, 1], "score": "high"}])
+def test_live_vision_rejects_malformed_region(region):
+    tool = ag.LiveVisionTool("http://v", post=lambda *a: {"regions": [region]})
+    with pytest.raises(VisionUnavailable):
+        tool.localize(DOC, "q", ag.CallLedger(), "seed")
+
+
 # ---------------------------------------------------------------------------
 # scripted backend / vision tool
 
@@ -222,6 +296,18 @@ def test_scripted_vision_tool(script_dir):
         tool.localize(doc, "again", led, "seed")  # reply list exhausted
 
 
+@pytest.mark.parametrize("task", ["describe", "localize"])
+def test_scripted_vision_tool_rejects_fixture_that_is_not_json(tmp_path, task):
+    (tmp_path / "d" / "vision").mkdir(parents=True)
+    (tmp_path / "d" / "vision" / f"{task}.json").write_text("{bad", encoding="utf-8")
+    tool = ag.ScriptedVisionTool(tmp_path)
+    with pytest.raises(VisionUnavailable, match="not JSON"):
+        if task == "describe":
+            tool.describe(DOC, ag.CallLedger(), "seed")
+        else:
+            tool.localize(DOC, "q", ag.CallLedger(), "seed")
+
+
 # ---------------------------------------------------------------------------
 # geometry helpers
 
@@ -232,6 +318,11 @@ def test_clip_box():
     assert any("clipped" in d for d in diags)
     assert ag.clip_box([700, 0, 800, 100], DOC, []) is None
     assert ag.clip_box([10.4, 9.6, 20.2, 30.0], DOC, []) == [10, 10, 20, 30]
+    for bad in ([1, 2], [0, 0, float("inf"), 10], [0, float("nan"), 5, 5],
+                [0, 0, True, 5], "abcd", 5):
+        diags = []
+        assert ag.clip_box(bad, DOC, diags) is None
+        assert any("discarded" in d for d in diags)
 
 
 def test_match_localizations():

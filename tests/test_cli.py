@@ -99,6 +99,30 @@ def test_eval_empty_predictions(tmp_path, capsys):
     assert "P=0.000 R=0.000" in out
 
 
+@pytest.mark.parametrize("record", [
+    {"event_type": "Contact:Meet", "trigger": "met", "confidence": {"event": "high"}},
+    {"event_type": "Contact:Meet", "trigger": "met", "confidence": {"event": True}},
+    {"event_type": "Contact:Meet", "trigger": "met", "confidence": 0.9},
+    {"event_type": ["Contact:Meet"], "trigger": "met"},
+    {"event_type": "Contact:Meet", "trigger": 5},
+    {"event_type": "Contact:Meet", "trigger": "met", "text_arguments": [["Participant"]]},
+    {"event_type": "Contact:Meet", "trigger": "met", "text_arguments": [[1, "x"]]},
+    {"event_type": "Contact:Meet", "trigger": "met", "image_arguments": [["Place", [1, 2]]]},
+    {"event_type": "Contact:Meet", "trigger": "met", "non_extractive": 5},
+    "Contact:Meet",
+], ids=["event-confidence-text", "event-confidence-bool", "confidence-number",
+        "event-type-list", "trigger-number", "argument-single", "argument-role-number",
+        "image-box-short", "non-extractive-number", "record-string"])
+def test_eval_malformed_prediction_exits_1(tmp_path, capsys, record):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"doc_id": "t1", "events": [record]}) + "\n", encoding="utf-8")
+    code = run_cli("eval", "--pred", str(pred),
+                   "--gold", str(FIXTURES / "scoring" / "textual_gold.jsonl"),
+                   "--setting", "textual")
+    assert code == 1
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
 def test_replay_round_trip(tmp_path, capsys):
     out = tmp_path / "run"
     assert do_run(out) == 0
@@ -122,6 +146,26 @@ def test_replay_tampered_trail_exits_3(tmp_path, capsys):
             break
     state_file.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
+
+
+def _drop_value(payload):
+    del payload["value"]
+
+
+@pytest.mark.parametrize("op_type,tamper", [
+    ("adjust_confidence", _drop_value),
+    ("adjust_confidence", lambda payload: payload.update(value="abc")),
+    ("propose", lambda payload: payload.update(members=5)),
+], ids=["adjust-without-value", "adjust-value-text", "propose-members-number"])
+def test_replay_malformed_trail_payload_exits_3(tmp_path, capsys, op_type, tamper):
+    out = tmp_path / "run"
+    assert do_run(out) == 0
+    state_file = out / "states" / "case_convoy.json"
+    data = json.loads(state_file.read_bytes().decode("utf-8"))
+    tamper(next(e for e in data["trail"] if e["op_type"] == op_type)["payload"])
+    state_file.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
+    assert "replay validation failure" in capsys.readouterr().err
 
 
 def test_replay_unknown_doc_exits_1(tmp_path):
@@ -186,8 +230,15 @@ _PROPOSE = {"event_type": "Movement:Transport", "trigger": {"text": "riding"}, "
                           "payload": {**_PROPOSE, "event_type": {"a": 1}}}]),
     ("1/proposer.json", [{"op": "propose", "alias": ["x"], "payload": _PROPOSE}]),
     ("1/linker.json", [{"op": "link", "target": ["HE1"], "payload": {"vertex": "T1"}}]),
+    ("vision/localize.json", [[{"box": [1, 2], "label": "x", "score": 0.9}]]),
+    ("vision/localize.json", [[{"box": [0, 0, float("inf"), 10], "label": "x", "score": 0.9}]]),
+    ("vision/localize.json", [[5]]),
+    ("vision/localize.json", [[{"label": "x"}]]),
+    ("vision/describe.json", {}),
 ], ids=["box-number", "box-short", "edge-list", "vertex-list", "trigger-start-text",
-        "members-number", "event-type-object", "alias-list", "target-list"])
+        "members-number", "event-type-object", "alias-list", "target-list",
+        "region-box-short", "region-box-infinity", "region-number", "region-without-box",
+        "describe-without-text"])
 def test_run_survives_malformed_reply(tmp_path, reply_file, reply):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
