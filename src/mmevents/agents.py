@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
-from .boxes import greedy_match, is_box
+from .boxes import greedy_match, is_box, is_number
 from .errors import (
     AgentUnavailable,
     BackendHTTPError,
@@ -416,7 +416,7 @@ def _region_tuples(regions) -> list[tuple[object, str, float]]:
         if not isinstance(region, dict) or "box" not in region:
             raise VisionUnavailable(f"localize region {region!r} is not an object with a box")
         score = region.get("score", 0.0)
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
+        if not is_number(score):
             raise VisionUnavailable(f"localize region score {score!r} is not a number")
         out.append((region["box"], str(region.get("label", "")), float(score)))
     return out

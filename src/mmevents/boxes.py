@@ -1,4 +1,4 @@
-"""Bounding-box geometry: IoU and greedy one-to-one matching."""
+"""Bounding-box geometry: shape checks, IoU and greedy one-to-one matching."""
 from __future__ import annotations
 
 import math
@@ -7,18 +7,17 @@ from typing import Sequence
 Box = Sequence[float]  # [x_min, y_min, x_max, y_max]
 
 
-def is_box(value) -> bool:
-    """True for a list of four finite numbers (bools excluded); JSON
-    input may carry NaN and Infinity."""
-    return (
-        isinstance(value, list)
-        and len(value) == 4
-        and all(
-            (isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and math.isfinite(v))
-            for v in value
-        )
+def is_number(value) -> bool:
+    """True for a finite int or float, bools excluded; JSON input may
+    carry true, NaN and Infinity."""
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and math.isfinite(value)
     )
+
+
+def is_box(value) -> bool:
+    """True for a list of four finite numbers."""
+    return isinstance(value, list) and len(value) == 4 and all(is_number(v) for v in value)
 
 
 def iou(a: Box, b: Box) -> float:

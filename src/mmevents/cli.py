@@ -39,14 +39,26 @@ def _dump(obj) -> str:
 
 
 def load_corpus(path: str | Path) -> list[Document]:
+    """The documents of a JSONL corpus; raises ValueError naming the line
+    of the first malformed document or repeated doc_id."""
     docs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    seen: set[str] = set()
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
+        if not (isinstance(obj, dict) and isinstance(obj.get("doc_id"), str)
+                and isinstance(obj.get("text", ""), str)):
+            raise ValueError(f"corpus line {n} is not an object with a string doc_id and text")
+        if obj["doc_id"] in seen:
+            raise ValueError(f"corpus line {n} repeats doc_id {obj['doc_id']!r}")
+        seen.add(obj["doc_id"])
         image = None
         if obj.get("image_path"):
-            image = ImageRef(obj["image_path"], int(obj["width"]), int(obj["height"]))
+            try:
+                image = ImageRef(obj["image_path"], int(obj["width"]), int(obj["height"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"corpus line {n}: image needs an integer width and height") from exc
         docs.append(Document(doc_id=obj["doc_id"], text=obj.get("text", ""), image=image))
     return docs
 

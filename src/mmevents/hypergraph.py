@@ -126,16 +126,6 @@ class Hypergraph:
     def copy(self) -> "Hypergraph":
         return copy.deepcopy(self)
 
-    def __eq__(self, other):
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and self.edges == other.edges
-            and (self.next_text, self.next_image, self.next_edge)
-            == (other.next_text, other.next_image, other.next_edge)
-        )
-
 
 def create_hypergraph(doc: Document, items: Iterable[tuple[Localization, str]]) -> Hypergraph:
     """Build an edge-free hypergraph; ids assigned in input order per namespace."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import hypergraph as hg
+from .boxes import is_number
 from .errors import (
     InternalInconsistency,
     MissingField,
@@ -212,22 +213,20 @@ def validate(
         if "value" not in payload or payload["value"] is None:
             raise MissingField("adjust_confidence requires a value")
         value = payload["value"]
-        if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+        if not is_number(value) or not 0.0 <= value <= 1.0:
             raise OutOfRangeConfidence(f"confidence {value!r} outside [0, 1]")
 
 
-def equivalent(op: Operation, entry: AuditEntry) -> bool:
-    """True iff the operation repeats a committed trail entry.
+def operation_key(op_type: str, target: Optional[str], payload: dict) -> tuple:
+    """An operation's identity, given its canonical payload. Proposals never
+    carry a concrete edge id, so a propose is identified by payload alone."""
+    return (op_type, None if op_type == "propose" else target, _freeze(payload))
 
-    Proposals never carry a concrete edge id, so propose equivalence is
-    judged on payload alone; all other families compare target too.
-    """
-    if op.op_type != entry.op_type:
-        return False
-    payload = canonical_payload(op.op_type, op.payload)
-    if op.op_type == "propose":
-        return payload == entry.payload
-    return op.target == entry.target and payload == entry.payload
+
+def equivalent(op: Operation, entry: AuditEntry) -> bool:
+    """True iff the operation repeats a committed trail entry."""
+    key = operation_key(op.op_type, op.target, canonical_payload(op.op_type, op.payload))
+    return key == operation_key(entry.op_type, entry.target, entry.payload)
 
 
 def _agent_rank(agent_id: str) -> tuple:
@@ -278,19 +277,20 @@ def resolve_conflicts(
 
     # deduplicate identical proposals
     seen: set = set()
-    deduped: list[Proposal] = []
+    deduped: list[tuple[Proposal, tuple]] = []
     for p in valid:
-        key = (p.op.op_type, p.op.target, _freeze(canonical_payload(p.op.op_type, p.op.payload)))
+        key = operation_key(p.op.op_type, p.op.target, canonical_payload(p.op.op_type, p.op.payload))
         if key in seen:
             unit.rejected.append((p, "duplicate proposal"))
             continue
         seen.add(key)
-        deduped.append(p)
+        deduped.append((p, key))
 
     # no-repeat against the committed trail
+    committed = {operation_key(e.op_type, e.target, e.payload) for e in trail}
     fresh: list[Proposal] = []
-    for p in deduped:
-        if any(equivalent(p.op, entry) for entry in trail):
+    for p, key in deduped:
+        if key in committed:
             unit.rejected.append((p, "repeat of committed operation"))
         else:
             fresh.append(p)
@@ -442,7 +442,7 @@ def _apply_entry(out: hg.Hypergraph, entry: AuditEntry) -> None:
             edge.trigger = _entry_span(payload["trigger"])
     elif kind == "adjust_confidence":
         value = payload.get("value")
-        if not isinstance(value, (int, float)):
+        if not is_number(value):
             raise InternalInconsistency(f"confidence value {value!r} is not a number")
         edge.confidence = float(value)
     else:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import agents as ag
 from . import ops
-from .boxes import is_box
+from .boxes import is_box, is_number
 from .errors import (
     DuplicateLocalization,
     EngineError,
@@ -187,14 +187,7 @@ def negotiate(
         if any(e.roles for e in h.edges.values()):
             raise InternalInconsistency("role assignment leaked into Stage II")
 
-    t_used = max(last_committed_round, 1)
-
-    if cfg.mode == "no-linker":
-        everything = set(h.vertices)
-        for edge in h.edges.values():
-            edge.members = set(everything)
-
-    return h, trail, t_used
+    return h, trail, max(last_committed_round, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +227,7 @@ def _retain_binding(edge, vertex_id, role, conf, cfg, schema, diagnostics) -> Op
             f"bind: role {role!r} not legal for {edge.event_type} on {edge.id}, dropped"
         )
         return None
-    if not isinstance(conf, (int, float)) or not 0.0 <= float(conf) <= 1.0:
+    if not is_number(conf) or not 0.0 <= conf <= 1.0:
         diagnostics.append(f"bind: confidence {conf!r} out of range on {edge.id}, dropped")
         return None
     if float(conf) < cfg.tau:
@@ -483,6 +476,12 @@ def run_document(
 
     h, trail, t_used = negotiate(h0, doc, visual_context, backend, cfg, schema, ledger, diagnostics)
     negotiated = h.copy()
+
+    if cfg.mode == "no-linker":
+        # all-to-all membership fallback; not an operation, so it stays out
+        # of the trail and of the negotiated state the trail replays to
+        for edge in h.edges.values():
+            edge.members = set(h.vertices)
 
     if cfg.mode == "bind-during-link":
         roles_from_link_payloads(h, trail, cfg, schema, diagnostics)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .boxes import is_box
+from .boxes import is_box, is_number
 
 DEFAULT_ENTRIES: dict[str, list[str]] = {
     "Movement:Transport": ["Agent", "Artifact", "Vehicle", "Destination", "Origin"],
@@ -118,7 +118,7 @@ class EventRecord:
         if not _is_pairs(text_args, lambda t: isinstance(t, str)) or not _is_pairs(image_args, is_box):
             raise ValueError("arguments must be [role, text] or [role, four-number box] pairs")
         event = confidence.get("event") if isinstance(confidence, dict) else None
-        number = isinstance(event, (int, float)) and not isinstance(event, bool)
+        number = is_number(event)
         if confidence is not None and not (isinstance(confidence, dict) and (event is None or number)):
             raise ValueError(f"confidence {confidence!r} is not an object with a numeric event score")
         if not isinstance(non_extractive, list):

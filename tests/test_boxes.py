@@ -1,6 +1,8 @@
 from hypothesis import given, strategies as st
 
-from mmevents.boxes import greedy_match, iou
+import pytest
+
+from mmevents.boxes import greedy_match, iou, is_number
 
 box_st = st.tuples(
     st.integers(0, 50), st.integers(0, 50), st.integers(51, 100), st.integers(51, 100)
@@ -52,3 +54,12 @@ def test_greedy_match_deterministic_tie_break():
     # both proposals tie on IoU with the single reference; lower index wins
     matched = greedy_match([[0, 0, 10, 10], [0, 0, 10, 10]], [[0, 0, 10, 10]], 0.5)
     assert matched == [(0, 0, 1.0)]
+
+
+@pytest.mark.parametrize("value,expected", [
+    (0, True), (1, True), (0.5, True), (-3.0, True),
+    (True, False), (False, False), (float("nan"), False), (float("inf"), False),
+    ("1", False), (None, False), ([1], False),
+])
+def test_is_number(value, expected):
+    assert is_number(value) is expected

@@ -156,7 +156,8 @@ def _drop_value(payload):
     ("adjust_confidence", _drop_value),
     ("adjust_confidence", lambda payload: payload.update(value="abc")),
     ("propose", lambda payload: payload.update(members=5)),
-], ids=["adjust-without-value", "adjust-value-text", "propose-members-number"])
+    ("adjust_confidence", lambda payload: payload.update(value=True)),
+], ids=["adjust-without-value", "adjust-value-text", "propose-members-number", "adjust-value-bool"])
 def test_replay_malformed_trail_payload_exits_3(tmp_path, capsys, op_type, tamper):
     out = tmp_path / "run"
     assert do_run(out) == 0
@@ -166,6 +167,41 @@ def test_replay_malformed_trail_payload_exits_3(tmp_path, capsys, op_type, tampe
     state_file.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
     assert "replay validation failure" in capsys.readouterr().err
+
+
+def test_replay_every_state_of_no_linker_run(tmp_path, capsys):
+    # the all-to-all fallback is not an operation, so the stored state must
+    # be the one the trail replays to
+    out = tmp_path / "run"
+    assert run_cli("run", "--corpus", CORPUS, "--backend", "script", "--script-dir", SCRIPT,
+                   "--mode", "no-linker", "--out-dir", str(out)) == 0
+    states = sorted((out / "states").glob("*.json"))
+    assert len(states) == 4
+    for state in states:
+        assert run_cli("replay", "--state", str(state), "--corpus", CORPUS) == 0, state.name
+
+
+@pytest.mark.parametrize("line", [
+    {"doc_id": "x", "text": "hi", "image_path": "a", "width": [1], "height": 2},
+    {"doc_id": "x", "text": "hi", "image_path": "a", "height": 2},
+    [1],
+    {"doc_id": "x", "text": 5},
+    {"doc_id": 5, "text": "hi"},
+    {"doc_id": "ideal_text", "text": "Protesters marched in Berlin."},
+], ids=["width-list", "width-missing", "not-an-object", "text-number", "doc-id-number",
+        "doc-id-repeated"])
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_malformed_corpus_line_exits_1(tmp_path, capsys, line, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(Path(CORPUS).read_text(encoding="utf-8") + json.dumps(line) + "\n",
+                      encoding="utf-8")
+    if command == "run":
+        argv = ["run", "--corpus", str(corpus), "--backend", "script", "--script-dir", SCRIPT,
+                "--out-dir", str(tmp_path / "run")]
+    else:
+        argv = ["replay", "--state", str(tmp_path / "case_convoy.json"), "--corpus", str(corpus)]
+    assert run_cli(*argv) == 1
+    assert "corpus line 5" in capsys.readouterr().err
 
 
 def test_replay_unknown_doc_exits_1(tmp_path):
@@ -235,10 +271,11 @@ _PROPOSE = {"event_type": "Movement:Transport", "trigger": {"text": "riding"}, "
     ("vision/localize.json", [[5]]),
     ("vision/localize.json", [[{"label": "x"}]]),
     ("vision/describe.json", {}),
+    ("0/binder.json", [{"edge": "HE2", "vertex": "T3", "role": "Vehicle", "confidence": True}]),
 ], ids=["box-number", "box-short", "edge-list", "vertex-list", "trigger-start-text",
         "members-number", "event-type-object", "alias-list", "target-list",
         "region-box-short", "region-box-infinity", "region-number", "region-without-box",
-        "describe-without-text"])
+        "describe-without-text", "binder-confidence-bool"])
 def test_run_survives_malformed_reply(tmp_path, reply_file, reply):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)

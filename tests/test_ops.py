@@ -99,6 +99,7 @@ def test_resolve_trigger_text():
     (Operation("propose", None, {"event_type": "Conflict:Attack",
                                  "trigger": {"start": "x", "end": 3}}), MissingField),
     (Operation("revise", "HE1", {"trigger": {"start": [0], "end": 5}}), MissingField),
+    (Operation("adjust_confidence", "HE1", {"value": True}), OutOfRangeConfidence),
 ])
 def test_validate_rejections(op, exc):
     with pytest.raises(exc):
@@ -151,6 +152,19 @@ def test_duplicate_proposals_deduped():
     assert [r for _, r in unit.rejected] == ["duplicate proposal"]
 
 
+def test_proposes_differing_only_in_target_are_duplicates():
+    # validation ignores a propose's target and the audit entry replaces it,
+    # so both would commit the same edge
+    payload = {"event_type": "Conflict:Attack", "trigger": {"start": 6, "end": 11}}
+    ops_ = [
+        P("proposer", Operation("propose", None, payload), 0),
+        P("proposer", Operation("propose", "HE7", payload), 1),
+    ]
+    unit = resolve_conflicts(ops_, base_graph(), [], 1, SCHEMA, text=TEXT)
+    assert [p.index for p in unit.accepted] == [0]
+    assert [r for _, r in unit.rejected] == ["duplicate proposal"]
+
+
 def test_no_repeat_against_trail():
     h = with_edge()
     trail = [AuditEntry("linker", "link", "HE1", {"vertex": "T2"}, 1)]
@@ -158,6 +172,20 @@ def test_no_repeat_against_trail():
                              h, trail, 2, SCHEMA, text=TEXT)
     assert not unit.accepted
     assert unit.rejected[0][1] == "repeat of committed operation"
+
+
+def test_duplicates_are_rejected_before_repeats():
+    h = with_edge()
+    trail = [AuditEntry("linker", "link", "HE1", {"vertex": "T2"}, 1)]
+    ops_ = [
+        P("linker", Operation("link", "HE1", {"vertex": "T2"}), 0),
+        P("linker", Operation("link", "HE1", {"vertex": "T3"}), 1),
+        P("linker", Operation("link", "HE1", {"vertex": "T2"}), 2),
+    ]
+    unit = resolve_conflicts(ops_, h, trail, 2, SCHEMA, text=TEXT)
+    assert [(p.index, r) for p, r in unit.rejected] == [
+        (2, "duplicate proposal"), (0, "repeat of committed operation")]
+    assert [p.index for p in unit.accepted] == [1]
 
 
 def test_drop_dominance():

@@ -289,6 +289,17 @@ def test_binder_illegal_or_unlinked_bindings_dropped():
     assert any("already bound" in d for d in result.diagnostics)
 
 
+def test_binder_bool_confidence_dropped():
+    doc = Document("d", CONVOY)
+    replies = _negotiation_replies()
+    replies[("binder", 0)] = json.dumps([
+        {"edge": "HE1", "vertex": "T1", "role": "Artifact", "confidence": True},
+    ])
+    result = run_document(doc, FakeBackend(replies), None, PipelineConfig(), SCHEMA)
+    assert result.state.edges["HE1"].roles == []
+    assert "bind: confidence True out of range on HE1, dropped" in result.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # output contract
 
