@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
-from .boxes import greedy_match, is_box, is_number
+from .boxes import is_box, is_number
 from .errors import (
     AgentUnavailable,
     BackendHTTPError,
@@ -20,7 +20,7 @@ from .errors import (
     ScriptExhausted,
     VisionUnavailable,
 )
-from .hypergraph import BoxRegion, Document, Hypergraph, TextSpan, Vertex, sort_ids
+from .hypergraph import Document, Hypergraph, TextSpan, Vertex, sort_ids
 from .ops import FAMILIES, AuditEntry, Operation, Proposal
 from .schema import EventSchema
 
@@ -198,15 +198,8 @@ def parse_operations(raw: str, agent_id: str) -> tuple[list[Proposal], list[str]
         if op_type == "propose" and not payload.get("event_type"):
             diagnostics.append(f"{agent_id}[{i}]: MissingField: propose without event_type")
             continue
-        rationale = str(item.get("rationale") or "unspecified")
-        proposals.append(
-            Proposal(
-                agent_id=agent_id,
-                op=Operation(op_type=op_type, target=target, payload=payload, alias=alias),
-                rationale=rationale,
-                index=len(proposals),
-            )
-        )
+        op = Operation(op_type=op_type, target=target, payload=payload, alias=alias)
+        proposals.append(Proposal(agent_id=agent_id, op=op, index=len(proposals)))
     return proposals, diagnostics
 
 
@@ -256,8 +249,16 @@ def _requests_post(url, body, headers, timeout):
 
 
 class _HTTPClient:
-    """Request loop shared by the live clients, which set url, api_key,
-    retries, timeout and _post."""
+    """Settings and request loop shared by the live clients."""
+
+    def __init__(self, url: str, model: str = "", api_key: str = "",
+                 retries: int = 2, timeout: float = 120.0, post: Optional[Callable] = None):
+        self.url = url
+        self.model = model
+        self.api_key = api_key
+        self.retries = retries
+        self.timeout = timeout
+        self._post = post or _requests_post
 
     def _request(self, body, read):
         """POST `body` until `read` accepts the reply body, at most
@@ -319,14 +320,9 @@ class LiveBackend(_HTTPClient):
         timeout: float = 120.0,
         post: Optional[Callable] = None,
     ):
-        self.url = url
-        self.model = model
-        self.api_key = api_key
+        super().__init__(url, model, api_key, retries, timeout, post)
         self.temperature = temperature
         self.max_tokens = max_tokens
-        self.retries = retries
-        self.timeout = timeout
-        self._post = post or _requests_post
 
     def invoke(self, role, context, doc_id, round, ledger, stage):
         body = {
@@ -427,15 +423,6 @@ class LiveVisionTool(_HTTPClient):
     expects {"text": ...} for describe and {"regions": [{"box", "label",
     "score"}]} for localize."""
 
-    def __init__(self, url: str, model: str = "", api_key: str = "",
-                 retries: int = 2, timeout: float = 120.0, post: Optional[Callable] = None):
-        self.url = url
-        self.model = model
-        self.api_key = api_key
-        self.retries = retries
-        self.timeout = timeout
-        self._post = post or _requests_post
-
     def _call(self, body, key: str, kind: type):
         value, attempts, error = self._request(body, lambda data: _body_field(data, key, kind))
         if error is not None:
@@ -492,23 +479,3 @@ class ScriptedVisionTool:
         self._localize_cursor[doc.doc_id] = cursor + 1
         ledger.record_vision(stage)
         return _region_tuples(replies[cursor])
-
-
-# ---------------------------------------------------------------------------
-# localization matching
-
-
-def match_localizations(
-    proposals: Sequence[Sequence[float]],
-    linked_image_vertices: Sequence[Vertex],
-    iou_align: float,
-) -> list[tuple[int, Vertex, float]]:
-    """Greedy one-to-one IoU matching of proposed boxes to linked image
-    vertices; pairs below `iou_align` are discarded."""
-    refs = [v.localization.as_list() for v in linked_image_vertices
-            if isinstance(v.localization, BoxRegion)]
-    verts = [v for v in linked_image_vertices if isinstance(v.localization, BoxRegion)]
-    return [
-        (i, verts[j], score)
-        for i, j, score in greedy_match(proposals, refs, iou_align)
-    ]

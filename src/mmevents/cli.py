@@ -20,7 +20,7 @@ from .errors import EngineError, MalformedState
 from .hypergraph import Document, ImageRef
 from .ops import replay_rounds
 from .pipeline import MODES, PipelineConfig, run_document
-from .schema import EventRecord, default_schema, load_schema
+from .schema import EventRecord, default_schema, load_schema, schema_from_json
 from .scorer import SETTINGS, evaluate, render_report
 from .state import deserialize_state, serialize_state
 
@@ -193,6 +193,7 @@ def cmd_run(args) -> int:
         "out_dir": str(out_dir),
         "documents": manifest_docs,
         "ledger_totals": totals,
+        "schema": schema.to_json(),
         "wall_clock_seconds": round(time.time() - started, 3),
     }
     (out_dir / "manifest.json").write_text(_dump(manifest) + "\n", encoding="utf-8")
@@ -226,9 +227,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _recorded_schema(state_path: Path):
+    """The schema recorded in the manifest of the run that wrote
+    `state_path` (<run>/states/<doc>.json); the default schema when the
+    state has no such run directory or the manifest records none."""
+    manifest = state_path.parent.parent / "manifest.json"
+    if state_path.parent.name != "states" or not manifest.is_file():
+        return default_schema()
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{manifest} is not a JSON object")
+    return schema_from_json(recorded["schema"]) if "schema" in recorded else default_schema()
+
+
 def cmd_replay(args) -> int:
     try:
-        schema = default_schema()
+        schema = _recorded_schema(Path(args.state))
         docs = {d.doc_id: d for d in load_corpus(args.corpus)}
         final_h, trail = deserialize_state(Path(args.state).read_bytes())
     except (OSError, json.JSONDecodeError, MalformedState, ValueError, KeyError) as exc:

@@ -50,7 +50,6 @@ class Operation:
 class Proposal:
     agent_id: str
     op: Operation
-    rationale: str
     index: int = 0  # position within the agent's submission
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import agents as ag
 from . import ops
-from .boxes import is_box, is_number
+from .boxes import greedy_match, is_box, is_number
 from .errors import (
     DuplicateLocalization,
     EngineError,
@@ -241,19 +241,16 @@ def _retain_binding(edge, vertex_id, role, conf, cfg, schema, diagnostics) -> Op
 def bind_roles(
     h: Hypergraph,
     doc: Document,
-    visual_context: str,
+    context: str,
     backend: ag.AgentBackend,
     vision: Optional[ag.VisionTool],
     cfg: PipelineConfig,
     schema: EventSchema,
-    trail: list[ops.AuditEntry],
     ledger: ag.CallLedger,
     diagnostics: list[str],
 ) -> None:
-    """Populate role assignments on every edge of the negotiated state."""
-    if not h.edges:
-        return
-    context = ag.build_context(doc.text, visual_context, h, trail, 0, schema)
+    """Populate role assignments on every edge of the negotiated state from
+    one binder call on `context`, the rendered Stage III state."""
     raw = backend.invoke(ag.BINDER, context, doc.doc_id, 0, ledger, "bind")
     arr = ag._first_json_array(raw or "")
     if arr is None:
@@ -304,17 +301,17 @@ def bind_roles(
             h.vertices[vid] for vid in sort_ids(edge.members)
             if isinstance(h.vertices[vid].localization, BoxRegion)
         ]
-        boxes = [p[0] for p in proposals]
-        matched = ag.match_localizations(boxes, linked_images, cfg.iou_align)
+        refs = [v.localization.as_list() for v in linked_images]
+        matched = greedy_match([p[0] for p in proposals], refs, cfg.iou_align)
         matched_idx = {i for i, _, _ in matched}
         for i, (box, role, conf) in enumerate(proposals):
             if i not in matched_idx:
                 diagnostics.append(
                     f"bind: box {box} on {eid} overlaps no linked image vertex, discarded"
                 )
-        for i, vertex, _score in matched:
+        for i, j, _score in matched:
             _box, role, conf = proposals[i]
-            rb = _retain_binding(edge, vertex.id, role, conf, cfg, schema, diagnostics)
+            rb = _retain_binding(edge, linked_images[j].id, role, conf, cfg, schema, diagnostics)
             if rb:
                 edge.roles.append(rb)
 
@@ -347,27 +344,19 @@ def roles_from_link_payloads(
             edge.roles.append(rb)
 
 
-def _aligned_text(mention: str, doc: Document, cfg: PipelineConfig,
-                  flags: list[str], flag_name: str) -> str:
-    if cfg.mode == "no-spanalign":
-        return mention
-    try:
-        start, end = align_span(mention, doc.text)
-        return doc.text[start:end]
-    except NoAlignment:
-        flags.append(flag_name)
-        return mention
-
-
-def _single_token_trigger(surface: str, doc: Document, cfg: PipelineConfig, flags: list[str]) -> str:
+def _extractive(surface: str, doc: Document, cfg: PipelineConfig, flags: list[str],
+                flag_name: str, head: bool = False) -> str:
+    """The document text `surface` aligns to, cut to its head token when
+    `head`; `surface` itself, flagged `flag_name`, when it does not align."""
     if cfg.mode == "no-spanalign":
         return surface
     try:
         start, end = align_span(surface, doc.text)
     except NoAlignment:
-        flags.append("trigger")
+        flags.append(flag_name)
         return surface
-    start, end = head_token_span(start, end, doc.text)
+    if head:
+        start, end = head_token_span(start, end, doc.text)
     return doc.text[start:end]
 
 
@@ -393,7 +382,7 @@ def consolidate(
         trigger = ""
         if doc.text and edge.trigger is not None:
             surface = doc.text[edge.trigger.start:edge.trigger.end]
-            trigger = _single_token_trigger(surface, doc, cfg, flags)
+            trigger = _extractive(surface, doc, cfg, flags, "trigger", head=True)
 
         text_args: list[tuple[str, str, float, int]] = []
         image_args: list[tuple[str, list[int], float]] = []
@@ -402,7 +391,7 @@ def consolidate(
             if isinstance(vertex.localization, TextSpan):
                 if not doc.text:
                     continue
-                rendered = _aligned_text(vertex.surface, doc, cfg, flags, f"arg:{rb.role}")
+                rendered = _extractive(vertex.surface, doc, cfg, flags, f"arg:{rb.role}")
                 text_args.append((rb.role, rendered, rb.confidence, vertex.localization.start))
             else:
                 if doc.image is None:
@@ -483,16 +472,20 @@ def run_document(
         for edge in h.edges.values():
             edge.members = set(h.vertices)
 
-    if cfg.mode == "bind-during-link":
-        roles_from_link_payloads(h, trail, cfg, schema, diagnostics)
-    else:
-        bind_roles(h, doc, visual_context, backend, vision, cfg, schema, trail, ledger, diagnostics)
+    context = None
+    if h.edges:
+        # binding adds only roles, which build_context does not render, so
+        # the binder and the consolidator read one rendering of the state
+        context = ag.build_context(doc.text, visual_context, h, trail, 0, schema)
+        if cfg.mode == "bind-during-link":
+            roles_from_link_payloads(h, trail, cfg, schema, diagnostics)
+        else:
+            bind_roles(h, doc, context, backend, vision, cfg, schema, ledger, diagnostics)
 
     records = consolidate(h, doc, cfg, schema, diagnostics)
 
-    if h.edges:
+    if context is not None:
         draft = json.dumps([r.to_json() for r in records], ensure_ascii=False, sort_keys=True)
-        context = ag.build_context(doc.text, visual_context, h, trail, 0, schema)
         remarks = backend.invoke(
             ag.CONSOLIDATOR, context + "\n\nDRAFT RECORDS:\n" + draft,
             doc.doc_id, 0, ledger, "consolidate",

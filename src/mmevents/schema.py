@@ -63,6 +63,13 @@ class EventSchema:
     def required_for(self, event_type: str) -> tuple[str, ...]:
         return self.required_roles.get(event_type, ())
 
+    def to_json(self) -> dict:
+        """The shape `schema_from_json` reads."""
+        return {
+            "entries": {k: list(v) for k, v in self.entries.items()},
+            "required_roles": {k: list(v) for k, v in self.required_roles.items()},
+        }
+
 
 def default_schema() -> EventSchema:
     return EventSchema(
@@ -71,15 +78,28 @@ def default_schema() -> EventSchema:
     )
 
 
-def load_schema(path: str | Path) -> EventSchema:
-    """Load an alternative schema from a JSON file.
+def schema_from_json(data) -> EventSchema:
+    """The schema of {"entries": {type: [role, ...]}, "required_roles":
+    {type: [role, ...]}} (required_roles optional); raises ValueError for
+    any other shape."""
+    if not isinstance(data, dict) or "entries" not in data:
+        raise ValueError("schema is not an object with entries")
+    tables = []
+    for key in ("entries", "required_roles"):
+        table = data.get(key, {})
+        if not isinstance(table, dict) or not all(
+            isinstance(roles, list) and all(isinstance(r, str) for r in roles)
+            for roles in table.values()
+        ):
+            raise ValueError(f"schema {key} must map event types to lists of role names")
+        tables.append({k: tuple(v) for k, v in table.items()})
+    return EventSchema(entries=tables[0], required_roles=tables[1])
 
-    Expected shape: {"entries": {type: [role, ...]}, "required_roles": {type: [role, ...]}}.
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = {k: tuple(v) for k, v in data["entries"].items()}
-    required = {k: tuple(v) for k, v in data.get("required_roles", {}).items()}
-    return EventSchema(entries=entries, required_roles=required)
+
+def load_schema(path: str | Path) -> EventSchema:
+    """Load an alternative schema from a JSON file in the shape
+    `schema_from_json` reads."""
+    return schema_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass

@@ -9,11 +9,12 @@ from mmevents.hypergraph import (
     Document,
     Hyperedge,
     ImageRef,
+    RoleBinding,
     TextSpan,
-    Vertex,
     create_hypergraph,
 )
 from mmevents.ops import AuditEntry
+from mmevents.pipeline import PipelineConfig, bind_roles
 from mmevents.schema import default_schema
 
 DOC = Document("d", "alpha bravo charlie", ImageRef("x.jpg", 640, 480))
@@ -326,12 +327,24 @@ def test_clip_box():
 
 
 def test_match_localizations():
-    verts = [
-        Vertex("O1", BoxRegion(0, 0, 100, 100), "a"),
-        Vertex("O2", BoxRegion(200, 200, 300, 300), "b"),
-        Vertex("T1", TextSpan(0, 5), "alpha"),  # ignored: not an image vertex
+    # bind_roles matches proposed boxes to the edge's linked image vertices
+    h = create_hypergraph(DOC, [(BoxRegion(0, 0, 100, 100), "a"),
+                                (BoxRegion(200, 200, 300, 300), "b"),
+                                (TextSpan(0, 5), "alpha")])  # T1: not an image vertex
+    h.edges["HE1"] = Hyperedge(id="HE1", event_type="Conflict:Attack", members={"O1", "O2", "T1"})
+    reply = json.dumps([
+        {"edge": "HE1", "box": [0, 0, 100, 90], "role": "Attacker", "confidence": 0.9},
+        {"edge": "HE1", "box": [500, 500, 600, 600], "role": "Target", "confidence": 0.9},
+    ])
+
+    class Binder:
+        def invoke(self, role, context, doc_id, round, ledger, stage):
+            return reply
+
+    diags = []
+    bind_roles(h, DOC, "context", Binder(), None, PipelineConfig(), default_schema(),
+               ag.CallLedger(), diags)
+    assert h.edges["HE1"].roles == [RoleBinding("O1", "Attacker", 0.9)]
+    assert diags == [
+        "bind: box [500, 500, 600, 600] on HE1 overlaps no linked image vertex, discarded"
     ]
-    matched = ag.match_localizations([[0, 0, 100, 90], [500, 500, 600, 600]], verts, 0.5)
-    assert len(matched) == 1
-    idx, vertex, score = matched[0]
-    assert idx == 0 and vertex.id == "O1" and score == 0.9

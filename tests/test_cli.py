@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mmevents.cli import main
+from mmevents.schema import DEFAULT_ENTRIES, DEFAULT_REQUIRED
 from conftest import FIXTURES, SCRIPTS
 
 CORPUS = str(FIXTURES / "corpus.jsonl")
@@ -179,6 +180,50 @@ def test_replay_every_state_of_no_linker_run(tmp_path, capsys):
     assert len(states) == 4
     for state in states:
         assert run_cli("replay", "--state", str(state), "--corpus", CORPUS) == 0, state.name
+
+
+def _run_with_protest_schema(tmp_path) -> Path:
+    """Run the fixtures with a schema file that adds Conflict:Protest, which
+    the ideal_text proposer then proposes; returns the run directory."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    proposer = fixtures / "scripts" / "ideal_text" / "1" / "proposer.json"
+    proposer.write_text(proposer.read_text(encoding="utf-8").replace(
+        "Conflict:Demonstrate", "Conflict:Protest"), encoding="utf-8")
+    schema = {"entries": {**DEFAULT_ENTRIES, "Conflict:Protest": ["Entity", "Place"]},
+              "required_roles": DEFAULT_REQUIRED}
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"schema_file": str(tmp_path / "schema.json")}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("run", "--corpus", str(fixtures / "corpus.jsonl"), "--backend", "script",
+                   "--script-dir", str(fixtures / "scripts"), "--config", str(tmp_path / "cfg.json"),
+                   "--out-dir", str(out)) == 0
+    return out
+
+
+def test_replay_uses_the_schema_the_run_recorded(tmp_path, capsys):
+    out = _run_with_protest_schema(tmp_path)
+    preds = {json.loads(l)["doc_id"]: json.loads(l)["events"]
+             for l in (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()}
+    assert [e["event_type"] for e in preds["ideal_text"]] == ["Conflict:Protest"]
+    assert run_cli("replay", "--state", str(out / "states" / "ideal_text.json"),
+                   "--corpus", CORPUS) == 0
+    assert "replay ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("schema", [5, {"required_roles": {}}, {"entries": {"A": "Entity"}},
+                                    {"entries": {"A": []}}],
+                         ids=["number", "no-entries", "roles-string", "roles-empty"])
+def test_replay_malformed_recorded_schema_exits_1(tmp_path, capsys, schema):
+    out = tmp_path / "run"
+    assert do_run(out) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["schema"] = schema
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run_cli("replay", "--state", str(out / "states" / "ideal_text.json"),
+                   "--corpus", CORPUS) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [

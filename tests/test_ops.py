@@ -48,7 +48,7 @@ def with_edge():
 
 
 def P(agent, op, index=0):
-    return Proposal(agent_id=agent, op=op, rationale="r", index=index)
+    return Proposal(agent_id=agent, op=op, index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def _to_proposals(round_ops):
     for agent, op in round_ops:
         idx = counters.get(agent, 0)
         counters[agent] = idx + 1
-        out.append(Proposal(agent_id=agent, op=op, rationale="r", index=idx))
+        out.append(Proposal(agent_id=agent, op=op, index=idx))
     return out
 
 

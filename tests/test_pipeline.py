@@ -266,6 +266,42 @@ def test_mode_bind_during_link_lifts_roles_from_link_payloads():
     assert [(r.vertex_id, r.role, r.confidence) for r in roles] == [("T1", "Artifact", 0.85)]
 
 
+@pytest.mark.parametrize("mode", ["full", "bind-during-link", "no edges"])
+def test_stage_three_renders_the_context_once(monkeypatch, mode):
+    # one rendering per negotiation round run, plus one shared by the binder
+    # and the consolidator when the negotiated state has edges
+    renders = []
+    real_build = ag.build_context
+
+    def counting_build(*args):
+        renders.append(args[4])
+        return real_build(*args)
+
+    monkeypatch.setattr(ag, "build_context", counting_build)
+    calls = []
+
+    class Recording(FakeBackend):
+        def invoke(self, role, context, doc_id, round, ledger, stage):
+            calls.append((role, context))
+            return super().invoke(role, context, doc_id, round, ledger, stage)
+
+    replies = _negotiation_replies()
+    if mode == "no edges":
+        replies.pop(("proposer", 1))
+    cfg = PipelineConfig(mode="full" if mode == "no edges" else mode)
+    result = run_document(Document("d", CONVOY), Recording(replies), None, cfg, SCHEMA)
+
+    rounds_run = sum(1 for role, _ in calls if role == ag.PROPOSER)
+    assert len(renders) == rounds_run + (1 if result.state.edges else 0)
+    stage_three = {role: context for role, context in calls
+                   if role in (ag.BINDER, ag.CONSOLIDATOR)}
+    if mode == "full":
+        binder = stage_three[ag.BINDER]
+        assert stage_three[ag.CONSOLIDATOR].startswith(binder + "\n\nDRAFT RECORDS:\n")
+    if mode == "no edges":
+        assert stage_three == {} and renders == [1]
+
+
 # ---------------------------------------------------------------------------
 # binder robustness
 
