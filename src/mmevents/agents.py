@@ -21,7 +21,7 @@ from .errors import (
     VisionUnavailable,
 )
 from .hypergraph import Document, Hypergraph, TextSpan, Vertex, sort_ids
-from .ops import FAMILIES, AuditEntry, Operation, Proposal
+from .ops import FAMILIES, AuditEntry, Operation, Proposal, malformed_fields
 from .schema import EventSchema
 
 SEEDER = "seeder"
@@ -181,14 +181,7 @@ def parse_operations(raw: str, agent_id: str) -> tuple[list[Proposal], list[str]
         payload = dict(payload)
         alias = item.get("alias") or payload.pop("alias", None)
         target = item.get("target")
-        strings = {"target": target, "alias": alias,
-                   "event_type": payload.get("event_type"), "vertex": payload.get("vertex")}
-        bad = [k for k, v in strings.items() if v is not None and not isinstance(v, str)]
-        members = payload.get("members")
-        if members is not None and not (
-            isinstance(members, list) and all(isinstance(m, str) for m in members)
-        ):
-            bad.append("members")
+        bad = malformed_fields(target, alias, payload)
         if bad:
             diagnostics.append(f"{agent_id}[{i}]: malformed {', '.join(bad)}, operation dropped")
             continue

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import agents as ag
+from .boxes import is_number
 from .errors import EngineError, MalformedState
 from .hypergraph import Document, ImageRef
 from .ops import replay_rounds
@@ -67,16 +68,41 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
+def _read_config_file(path: str, defaults: dict) -> dict:
+    """The settings of a JSON config file. Raises ValueError naming the key
+    of the first setting that is unknown or whose value is not of its
+    default's kind: an integer, a number (never a boolean), or a string
+    (or null where the default is null)."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError("config file is not a JSON object")
+    for key, value in obj.items():
+        if key not in defaults:
+            raise ValueError(f"unknown config key {key!r}")
+        default = defaults[key]
+        if isinstance(default, int):
+            ok, kind = type(value) is int, "an integer"
+        elif isinstance(default, float):
+            ok, kind = is_number(value), "a number"
+        else:
+            ok, kind = isinstance(value, str) or (value is None and default is None), "a string"
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return obj
+
+
 def build_config(args) -> dict:
     """Config precedence: CLI flag > environment variable > config file > default."""
+    p = PipelineConfig()
     cfg = {
-        "t_max": 2, "tau": 0.5, "alpha": 0.5, "lambda": 0.1, "theta_event": 0.7,
-        "iou_align": 0.5, "mode": "full", "backend": "script", "script_dir": None,
+        "t_max": p.t_max, "tau": p.tau, "alpha": p.alpha, "lambda": p.lam,
+        "theta_event": p.theta_event, "iou_align": p.iou_align, "mode": p.mode,
+        "backend": "script", "script_dir": None,
         "api_url": None, "api_key": "", "model": "", "vision_url": None,
         "vision_model": "", "retries": 2, "timeout": 120.0, "schema_file": None,
     }
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        cfg.update(_read_config_file(args.config, cfg))
     for key, env_name in (("api_url", "API_URL"), ("api_key", "API_KEY"),
                           ("model", "MODEL"), ("vision_url", "VISION_URL"),
                           ("vision_model", "VISION_MODEL")):

@@ -166,14 +166,14 @@ def sort_ids(ids: Iterable[str]) -> list[str]:
     return sorted(ids, key=key)
 
 
-def check_invariants(h: Hypergraph, schema: EventSchema, doc: Optional[Document] = None) -> None:
+def check_invariants(h: Hypergraph, schema: EventSchema, doc: Document) -> None:
     """Raise InternalInconsistency on any structural violation."""
     for v in h.vertices.values():
         if v.is_text and v.id[0] != "T":
             raise InternalInconsistency(f"{v.id}: id namespace does not match modality")
         if not v.is_text and v.id[0] != "O":
             raise InternalInconsistency(f"{v.id}: id namespace does not match modality")
-        if doc is not None and v.is_text:
+        if v.is_text:
             loc = v.localization
             if v.surface != doc.text[loc.start:loc.end]:
                 raise InternalInconsistency(f"{v.id}: surface diverges from document text")
@@ -193,5 +193,5 @@ def check_invariants(h: Hypergraph, schema: EventSchema, doc: Optional[Document]
                 raise InternalInconsistency(f"{e.id}: role {rb.role!r} not legal for {e.event_type}")
             if not 0.0 <= rb.confidence <= 1.0:
                 raise InternalInconsistency(f"{e.id}: binding confidence {rb.confidence} out of range")
-        if doc is not None and doc.text and e.trigger is None:
+        if doc.text and e.trigger is None:
             raise InternalInconsistency(f"{e.id}: trigger required when the document has text")

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .schema import EventSchema
+from .textnorm import align_span
 
 FAMILIES = ("propose", "revise", "drop", "link", "unlink", "adjust_confidence")
 
@@ -84,13 +85,26 @@ class AuditEntry:
 @dataclass
 class CommitUnit:
     """One round's outcome. `entries` are the accepted proposals as audit
-    entries with concrete edge ids, in application order; they are the
-    only thing `apply_commit` applies."""
+    entries with concrete edge ids and canonical payloads, in application
+    order; they are the only thing `apply_commit` applies."""
 
     round: int
     accepted: list[Proposal] = field(default_factory=list)
     rejected: list[tuple[Proposal, str]] = field(default_factory=list)
     entries: list[AuditEntry] = field(default_factory=list)
+
+
+def malformed_fields(target, alias, payload: dict) -> list[str]:
+    """Names of the present fields of the wrong type: target, alias,
+    event_type and vertex must be strings, members a list of strings."""
+    strings = {"target": target, "alias": alias,
+               "event_type": payload.get("event_type"), "vertex": payload.get("vertex")}
+    bad = [k for k, v in strings.items() if v is not None and not isinstance(v, str)]
+    members = payload.get("members")
+    if members is not None and not (isinstance(members, list)
+                                    and all(isinstance(m, str) for m in members)):
+        bad.append("members")
+    return bad
 
 
 def _canonical_trigger(raw) -> Optional[dict]:
@@ -104,20 +118,31 @@ def _canonical_trigger(raw) -> Optional[dict]:
         raise MissingField(f"trigger payload must carry integer start/end ({exc})") from exc
 
 
+def trigger_span(trig, text: str) -> hg.TextSpan:
+    """The span of a canonical trigger {"start": int, "end": int}; raises
+    MissingField for any other shape and SchemaViolation unless
+    0 <= start < end <= len(text). Commit and replay both check here."""
+    start, end = (trig.get("start"), trig.get("end")) if isinstance(trig, dict) else (None, None)
+    if type(start) is not int or type(end) is not int:
+        raise MissingField("trigger payload must carry integer start/end")
+    if not 0 <= start < end <= len(text):
+        raise SchemaViolation(f"trigger span {trig} out of text bounds")
+    return hg.TextSpan(start, end)
+
+
 def canonical_payload(op_type: str, payload: dict) -> dict:
     """Normalize a payload so equal operations compare equal."""
     if op_type == "propose":
-        out = {
+        return {
             "event_type": payload.get("event_type"),
             "trigger": _canonical_trigger(payload.get("trigger")),
             "members": sorted(payload.get("members") or []),
         }
-        return out
     if op_type == "revise":
         out = {}
         if "event_type" in payload:
             out["event_type"] = payload["event_type"]
-        if "trigger" in payload and payload["trigger"] is not None:
+        if payload.get("trigger") is not None:
             out["trigger"] = _canonical_trigger(payload["trigger"])
         return out
     if op_type in ("link", "unlink"):
@@ -139,8 +164,6 @@ def resolve_trigger_text(op: Operation, text: str) -> Operation:
     payload = dict(op.payload)
     trig = payload.get("trigger")
     if isinstance(trig, dict) and "text" in trig and "start" not in trig:
-        from .textnorm import align_span
-
         start, end = align_span(str(trig["text"]), text)
         payload["trigger"] = {"start": start, "end": end}
         return Operation(op.op_type, op.target, payload, op.alias)
@@ -151,69 +174,59 @@ def validate(
     op: Operation,
     h: hg.Hypergraph,
     schema: EventSchema,
-    text: Optional[str] = None,
+    text: str,
     aliases: frozenset[str] = frozenset(),
-) -> None:
-    """Structural validation; raises a ValidationError subclass on failure."""
-    if op.op_type not in FAMILIES:
-        raise SchemaViolation(f"unknown operation family {op.op_type!r}")
-    payload = op.payload
+) -> dict:
+    """Structural validation of the operation's canonical payload, which
+    it returns; raises a ValidationError subclass on failure."""
+    payload = canonical_payload(op.op_type, op.payload)
 
     def check_edge_target(allow_alias: bool = True):
         if op.target is None:
             raise MissingField(f"{op.op_type} requires a target edge")
-        if op.target in h.edges:
-            return
-        if allow_alias and op.target in aliases:
-            return
-        raise UnknownTarget(f"{op.op_type} targets unknown edge {op.target!r}")
-
-    def check_trigger(trig, required: bool):
-        if trig is None:
-            if required and text:
-                raise MissingField("trigger required when the document has text")
-            return
-        canon = _canonical_trigger(trig)
-        if text is not None:
-            if not (0 <= canon["start"] < canon["end"] <= len(text)):
-                raise SchemaViolation(f"trigger span {canon} out of text bounds")
+        if op.target not in h.edges and not (allow_alias and op.target in aliases):
+            raise UnknownTarget(f"{op.op_type} targets unknown edge {op.target!r}")
 
     if op.op_type == "propose":
-        etype = payload.get("event_type")
+        etype = payload["event_type"]
         if not etype:
             raise MissingField("propose requires event_type")
         if not schema.has_type(etype):
             raise SchemaViolation(f"event type {etype!r} not in schema")
-        check_trigger(payload.get("trigger"), required=True)
-        for vid in payload.get("members") or []:
+        if payload["trigger"] is not None:
+            trigger_span(payload["trigger"], text)
+        elif text:
+            raise MissingField("trigger required when the document has text")
+        for vid in payload["members"]:
             if vid not in h.vertices:
                 raise UnknownTarget(f"propose member {vid!r} unknown")
     elif op.op_type == "revise":
         check_edge_target()
-        if "event_type" not in payload and "trigger" not in payload:
+        if not payload:
             raise MissingField("revise requires a new event_type and/or trigger")
         if "event_type" in payload and not schema.has_type(payload["event_type"]):
             raise SchemaViolation(f"event type {payload['event_type']!r} not in schema")
         if "trigger" in payload:
-            check_trigger(payload["trigger"], required=False)
+            trigger_span(payload["trigger"], text)
     elif op.op_type == "drop":
         check_edge_target(allow_alias=False)
     elif op.op_type in ("link", "unlink"):
         # unlinks apply before same-round proposes, so an alias target can
         # never resolve — and a freshly proposed edge has nothing to unlink
         check_edge_target(allow_alias=(op.op_type == "link"))
-        vid = payload.get("vertex")
+        vid = payload["vertex"]
         if not vid:
             raise MissingField(f"{op.op_type} requires a vertex")
         if vid not in h.vertices:
             raise UnknownTarget(f"{op.op_type} names unknown vertex {vid!r}")
-    elif op.op_type == "adjust_confidence":
+    else:  # adjust_confidence
         check_edge_target()
-        if "value" not in payload or payload["value"] is None:
-            raise MissingField("adjust_confidence requires a value")
         value = payload["value"]
+        if value is None:
+            raise MissingField("adjust_confidence requires a value")
         if not is_number(value) or not 0.0 <= value <= 1.0:
             raise OutOfRangeConfidence(f"confidence {value!r} outside [0, 1]")
+    return payload
 
 
 def operation_key(op_type: str, target: Optional[str], payload: dict) -> tuple:
@@ -249,7 +262,7 @@ def resolve_conflicts(
     trail: Sequence[AuditEntry],
     round: int,
     schema: EventSchema,
-    text: Optional[str] = None,
+    text: str,
 ) -> CommitUnit:
     """Aggregate one round's proposals into a conflict-free commit unit.
 
@@ -264,11 +277,13 @@ def resolve_conflicts(
         p.op.alias for p in ordered if p.op.op_type == "propose" and p.op.alias
     )
 
-    # structural validation
+    # structural validation; canonical payloads are keyed by proposal
+    # identity, as proposals are unhashable
     valid: list[Proposal] = []
+    canonical: dict[int, dict] = {}
     for p in ordered:
         try:
-            validate(p.op, h, schema, text=text, aliases=aliases)
+            canonical[id(p)] = validate(p.op, h, schema, text, aliases)
         except ValidationError as exc:
             unit.rejected.append((p, f"{type(exc).__name__}: {exc}"))
             continue
@@ -278,7 +293,7 @@ def resolve_conflicts(
     seen: set = set()
     deduped: list[tuple[Proposal, tuple]] = []
     for p in valid:
-        key = operation_key(p.op.op_type, p.op.target, canonical_payload(p.op.op_type, p.op.payload))
+        key = operation_key(p.op.op_type, p.op.target, canonical[id(p)])
         if key in seen:
             unit.rejected.append((p, "duplicate proposal"))
             continue
@@ -341,13 +356,15 @@ def resolve_conflicts(
             resolved.append(p)
 
     unit.accepted = sorted(resolved, key=_application_key)
-    unit.entries = _audit_entries(unit.accepted, h.next_edge, round)
+    unit.entries = _audit_entries(unit.accepted, canonical, h.next_edge, round)
     return unit
 
 
-def _audit_entries(accepted: Sequence[Proposal], next_edge: int, round: int) -> list[AuditEntry]:
-    """Accepted proposals as audit entries: each propose takes the next
-    edge id in application order, and targets naming its alias take it too."""
+def _audit_entries(accepted: Sequence[Proposal], canonical: dict[int, dict], next_edge: int,
+                   round: int) -> list[AuditEntry]:
+    """Accepted proposals as audit entries with the canonical payloads
+    `canonical` maps their identities to: each propose takes the next edge
+    id in application order, and targets naming its alias take it too."""
     ids: dict[str, str] = {}
     entries = []
     for p in accepted:
@@ -357,8 +374,7 @@ def _audit_entries(accepted: Sequence[Proposal], next_edge: int, round: int) -> 
             next_edge += 1
             if p.op.alias:
                 ids[p.op.alias] = target
-        payload = canonical_payload(p.op.op_type, p.op.payload)
-        entries.append(AuditEntry(p.agent_id, p.op.op_type, target, payload, round))
+        entries.append(AuditEntry(p.agent_id, p.op.op_type, target, canonical[id(p)], round))
     return entries
 
 
@@ -374,71 +390,56 @@ def apply_commit(
     h: hg.Hypergraph,
     unit: CommitUnit,
     schema: EventSchema,
-    doc: Optional[hg.Document] = None,
+    doc: hg.Document,
 ) -> hg.Hypergraph:
     """Apply a commit unit's audit entries to a copy of `h` and return the
     successor state; `h` itself is never mutated. Negotiation and replay
     both commit through here."""
     out = h.copy()
     for entry in unit.entries:
-        _apply_entry(out, entry)
+        _apply_entry(out, entry, doc.text)
     hg.check_invariants(out, schema, doc)
-    if doc is not None:
-        refresh_trigger_surfaces(out, doc.text)
     return out
 
 
-def _entry_span(raw) -> Optional[hg.TextSpan]:
-    try:
-        trig = _canonical_trigger(raw)
-    except MissingField as exc:
-        raise InternalInconsistency(f"trail entry trigger: {exc}") from exc
-    return hg.TextSpan(trig["start"], trig["end"]) if trig else None
-
-
-def _apply_entry(out: hg.Hypergraph, entry: AuditEntry) -> None:
+def _apply_entry(out: hg.Hypergraph, entry: AuditEntry, text: str) -> None:
     """Apply one audit entry in place. Raises InternalInconsistency for an
     entry that cannot apply to `out`: a propose whose id is not the next
     one, an unknown target edge or vertex, or a malformed payload."""
     kind, target, payload = entry.op_type, entry.target, entry.payload
+    bad = malformed_fields(target, None, payload)
+    if bad:
+        raise InternalInconsistency(f"trail entry has malformed {', '.join(bad)}: {payload!r}")
     if kind == "propose":
         expected = f"HE{out.next_edge}"
         if target != expected:
             raise InternalInconsistency(f"propose expected id {expected}, trail says {target}")
-        members = payload.get("members") or []
-        if not isinstance(payload.get("event_type"), str) or not (
-            isinstance(members, list) and all(isinstance(m, str) for m in members)
-        ):
-            raise InternalInconsistency(f"malformed propose payload {payload!r}")
         out.next_edge += 1
-        out.edges[target] = hg.Hyperedge(
-            id=target,
-            event_type=payload["event_type"],
-            members=set(members),
-            trigger=_entry_span(payload.get("trigger")),
-        )
-        return
-    if not isinstance(target, str) or target not in out.edges:
+        out.edges[target] = hg.Hyperedge(id=target, event_type=payload.get("event_type"),
+                                         members=set(payload.get("members") or []))
+    elif target not in out.edges:
         raise InternalInconsistency(f"trail entry targets unknown edge {target!r}")
     edge = out.edges[target]
-    if kind == "drop":
+    if kind in ("propose", "revise"):
+        if kind == "revise" and "event_type" in payload:
+            edge.event_type = payload["event_type"]
+        if payload.get("trigger") is not None:
+            try:
+                edge.trigger = trigger_span(payload["trigger"], text)
+            except ValidationError as exc:
+                raise InternalInconsistency(f"trail entry trigger: {exc}") from exc
+            edge.trigger_surface = text[edge.trigger.start:edge.trigger.end]
+    elif kind == "drop":
         del out.edges[target]
     elif kind in ("link", "unlink"):
         vid = payload.get("vertex")
-        if not isinstance(vid, str) or vid not in out.vertices:
+        if vid not in out.vertices:
             raise InternalInconsistency(f"trail entry names unknown vertex {vid!r}")
         if kind == "link":
             edge.members.add(vid)
         else:
             edge.members.discard(vid)
             edge.roles = [rb for rb in edge.roles if rb.vertex_id != vid]
-    elif kind == "revise":
-        if "event_type" in payload:
-            if not isinstance(payload["event_type"], str):
-                raise InternalInconsistency(f"malformed revise payload {payload!r}")
-            edge.event_type = payload["event_type"]
-        if payload.get("trigger") is not None:
-            edge.trigger = _entry_span(payload["trigger"])
     elif kind == "adjust_confidence":
         value = payload.get("value")
         if not is_number(value):
@@ -448,18 +449,13 @@ def _apply_entry(out: hg.Hypergraph, entry: AuditEntry) -> None:
         raise InternalInconsistency(f"unapplicable operation family {kind!r}")
 
 
-def refresh_trigger_surfaces(h: hg.Hypergraph, text: str) -> None:
-    for edge in h.edges.values():
-        if edge.trigger is not None:
-            edge.trigger_surface = text[edge.trigger.start:edge.trigger.end]
-
-
 def append_log(trail: Sequence[AuditEntry], unit: CommitUnit) -> list[AuditEntry]:
     """The trail extended by the unit's entries, in application order."""
     return list(trail) + unit.entries
 
 
-def replay_rounds(h0: hg.Hypergraph, trail: Sequence[AuditEntry], schema: EventSchema, doc=None):
+def replay_rounds(h0: hg.Hypergraph, trail: Sequence[AuditEntry], schema: EventSchema,
+                  doc: hg.Document):
     """Fold the audit trail over the edge-free initial state through
     `apply_commit`, yielding (round, state) after each replayed round.
     Each state is the next round's input, so do not mutate it."""

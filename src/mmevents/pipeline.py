@@ -137,7 +137,7 @@ def _resolve_proposal_triggers(proposals, text, diagnostics):
     for p in proposals:
         try:
             p.op = ops.resolve_trigger_text(p.op, text)
-        except (NoAlignment, EngineError) as exc:
+        except EngineError as exc:
             diagnostics.append(f"{p.agent_id}: trigger unresolvable, proposal dropped ({exc})")
             continue
         out.append(p)
@@ -174,7 +174,7 @@ def negotiate(
             proposals.extend(props)
         proposals = _resolve_proposal_triggers(proposals, doc.text, diagnostics)
 
-        unit = ops.resolve_conflicts(proposals, h, trail, t, schema, text=doc.text)
+        unit = ops.resolve_conflicts(proposals, h, trail, t, schema, doc.text)
         for p, reason in unit.rejected:
             diagnostics.append(f"round {t}: rejected {p.agent_id} {p.op.op_type}: {reason}")
 

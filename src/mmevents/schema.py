@@ -64,9 +64,11 @@ class EventSchema:
         return self.required_roles.get(event_type, ())
 
     def to_json(self) -> dict:
-        """The shape `schema_from_json` reads."""
+        """The shape `schema_from_json` reads. "order" records the order of
+        the event types, which a key-sorted dump of "entries" loses."""
         return {
             "entries": {k: list(v) for k, v in self.entries.items()},
+            "order": list(self.entries),
             "required_roles": {k: list(v) for k, v in self.required_roles.items()},
         }
 
@@ -80,8 +82,9 @@ def default_schema() -> EventSchema:
 
 def schema_from_json(data) -> EventSchema:
     """The schema of {"entries": {type: [role, ...]}, "required_roles":
-    {type: [role, ...]}} (required_roles optional); raises ValueError for
-    any other shape."""
+    {type: [role, ...]}, "order": [type, ...]} (required_roles and order
+    optional; without order the event types keep the order of entries);
+    raises ValueError for any other shape."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("schema is not an object with entries")
     tables = []
@@ -93,7 +96,11 @@ def schema_from_json(data) -> EventSchema:
         ):
             raise ValueError(f"schema {key} must map event types to lists of role names")
         tables.append({k: tuple(v) for k, v in table.items()})
-    return EventSchema(entries=tables[0], required_roles=tables[1])
+    order = data.get("order", list(tables[0]))
+    if not (isinstance(order, list) and all(isinstance(k, str) for k in order)
+            and sorted(order) == sorted(tables[0])):
+        raise ValueError("schema order must list each event type of entries once")
+    return EventSchema(entries={k: tables[0][k] for k in order}, required_roles=tables[1])
 
 
 def load_schema(path: str | Path) -> EventSchema:

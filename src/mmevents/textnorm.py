@@ -7,6 +7,7 @@ internal whitespace.
 """
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 
@@ -15,23 +16,14 @@ from .errors import NoAlignment
 _WORD = re.compile(r"\S+")
 
 
+@functools.lru_cache(maxsize=None)  # called at both ends of every token normalized
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _strip_punct(s: str) -> str:
-    start, end = 0, len(s)
-    while start < end and _is_punct(s[start]):
-        start += 1
-    while end > start and _is_punct(s[end - 1]):
-        end -= 1
-    return s[start:end]
-
-
 def normalize(s: str) -> str:
     s = unicodedata.normalize("NFC", s).casefold()
-    parts = [_strip_punct(tok) for tok in s.split()]
-    return " ".join(p for p in parts if p)
+    return " ".join(s[a:b] for a, b in token_spans(s))
 
 
 def norm_tokens(s: str) -> list[str]:
@@ -52,13 +44,14 @@ def token_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _window_matches(text: str, spans: list[tuple[int, int]], want: list[str]) -> list[tuple[int, int]]:
-    """All (start, end) windows of consecutive tokens whose normalized join equals `want`."""
+def _window_matches(spans: list[tuple[int, int]], toks: list[str],
+                    want: list[str]) -> list[tuple[int, int]]:
+    """All (start, end) windows of consecutive tokens, `toks` being the
+    tokens of `spans` normalized, whose tokens equal `want`."""
     n = len(want)
     if n == 0:
         return []
     out = []
-    toks = [normalize(text[a:b]) for a, b in spans]
     for i in range(len(spans) - n + 1):
         if toks[i:i + n] == want:
             out.append((spans[i][0], spans[i + n - 1][1]))
@@ -74,18 +67,19 @@ def align_span(mention: str, text: str) -> tuple[int, int]:
     earliest occurrence. Raises NoAlignment when no word of the mention
     occurs in the text.
     """
-    spans = token_spans(text)
     m_toks = norm_tokens(mention)
     if not m_toks:
         raise NoAlignment(f"empty mention {mention!r}")
+    spans = token_spans(text)
+    toks = [normalize(text[a:b]) for a, b in spans]
 
-    exact = _window_matches(text, spans, m_toks)
+    exact = _window_matches(spans, toks, m_toks)
     if exact:
         return min(exact, key=lambda se: (se[1] - se[0], se[0]))
 
     for k in range(len(m_toks) - 1, 0, -1):
-        candidates = _window_matches(text, spans, m_toks[:k])
-        candidates += _window_matches(text, spans, m_toks[-k:])
+        candidates = _window_matches(spans, toks, m_toks[:k])
+        candidates += _window_matches(spans, toks, m_toks[-k:])
         if candidates:
             return min(candidates, key=lambda se: se[0])
     raise NoAlignment(f"mention {mention!r} not locatable in text")

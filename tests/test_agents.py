@@ -60,6 +60,8 @@ def test_parse_operations_skips_bad_items():
     {"op": "link", "target": "HE1", "payload": {"vertex": ["T1"]}},
     {"op": "propose", "payload": {"event_type": "Contact:Meet", "members": 5}},
     {"op": "propose", "payload": {"event_type": "Contact:Meet", "members": ["T1", 2]}},
+    {"op": "unlink", "target": 7, "payload": {"vertex": "T1"}},
+    {"op": "propose", "payload": {"event_type": "Contact:Meet", "members": "T1"}},
 ])
 def test_parse_operations_drops_malformed_field_shapes(item):
     raw = json.dumps([item, {"op": "drop", "target": "HE1"}])

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mmevents.cli import main
-from mmevents.schema import DEFAULT_ENTRIES, DEFAULT_REQUIRED
+from mmevents.schema import DEFAULT_ENTRIES, DEFAULT_REQUIRED, schema_from_json
 from conftest import FIXTURES, SCRIPTS
 
 CORPUS = str(FIXTURES / "corpus.jsonl")
@@ -158,7 +158,13 @@ def _drop_value(payload):
     ("adjust_confidence", lambda payload: payload.update(value="abc")),
     ("propose", lambda payload: payload.update(members=5)),
     ("adjust_confidence", lambda payload: payload.update(value=True)),
-], ids=["adjust-without-value", "adjust-value-text", "propose-members-number", "adjust-value-bool"])
+    ("link", lambda payload: payload.update(vertex=5)),
+    ("propose", lambda payload: payload.update(event_type=["Conflict:Demonstrate"])),
+    ("propose", lambda payload: payload["trigger"].update(start="31")),
+    ("propose", lambda payload: payload.update(trigger=[31, 37])),
+], ids=["adjust-without-value", "adjust-value-text", "propose-members-number", "adjust-value-bool",
+        "link-vertex-number", "propose-event-type-list", "propose-trigger-offset-text",
+        "propose-trigger-list"])
 def test_replay_malformed_trail_payload_exits_3(tmp_path, capsys, op_type, tamper):
     out = tmp_path / "run"
     assert do_run(out) == 0
@@ -168,6 +174,27 @@ def test_replay_malformed_trail_payload_exits_3(tmp_path, capsys, op_type, tampe
     state_file.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
     assert "replay validation failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start,end", [(10, 4), (31, 10_000)], ids=["inverted", "past-text-end"])
+def test_replay_rejects_a_trigger_commit_would_reject(tmp_path, capsys, start, end):
+    # the stored edge carries the same trigger, so only the trigger check
+    # itself can fail the replay
+    out = tmp_path / "run"
+    assert do_run(out) == 0
+    state_file = out / "states" / "case_convoy.json"
+    data = json.loads(state_file.read_bytes().decode("utf-8"))
+    entry = next(e for e in data["trail"] if e["op_type"] == "propose")
+    entry["payload"]["trigger"] = {"start": start, "end": end}
+    edge = next(e for e in data["edges"] if e["id"] == entry["target"])
+    text = next(json.loads(l)["text"] for l in Path(CORPUS).read_text(encoding="utf-8").splitlines()
+                if json.loads(l)["doc_id"] == "case_convoy")
+    edge["trigger"] = {"start": start, "end": end}
+    edge["trigger_surface"] = text[start:end]
+    state_file.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
+    err = capsys.readouterr().err
+    assert "replay validation failure" in err and "out of text bounds" in err
 
 
 def test_replay_every_state_of_no_linker_run(tmp_path, capsys):
@@ -212,9 +239,28 @@ def test_replay_uses_the_schema_the_run_recorded(tmp_path, capsys):
     assert "replay ok" in capsys.readouterr().out
 
 
+def test_manifest_keeps_the_schema_file_order(tmp_path):
+    order = ["Transaction:TransferMoney", "Contact:Meet", *DEFAULT_ENTRIES]
+    order = list(dict.fromkeys(order))
+    assert order != sorted(order) and order != list(DEFAULT_ENTRIES)
+    schema = {"entries": {k: DEFAULT_ENTRIES[k] for k in order}, "required_roles": DEFAULT_REQUIRED}
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"schema_file": str(tmp_path / "schema.json")}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("run", "--corpus", CORPUS, "--backend", "script", "--script-dir", SCRIPT,
+                   "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(schema_from_json(manifest["schema"]).event_types) == order
+
+
 @pytest.mark.parametrize("schema", [5, {"required_roles": {}}, {"entries": {"A": "Entity"}},
-                                    {"entries": {"A": []}}],
-                         ids=["number", "no-entries", "roles-string", "roles-empty"])
+                                    {"entries": {"A": []}},
+                                    {"entries": {"A": ["Entity"]}, "order": ["B"]},
+                                    {"entries": {"A": ["Entity"]}, "order": ["A", "A"]},
+                                    {"entries": {"A": ["Entity"]}, "order": "A"}],
+                         ids=["number", "no-entries", "roles-string", "roles-empty",
+                              "order-unknown-type", "order-repeats-type", "order-string"])
 def test_replay_malformed_recorded_schema_exits_1(tmp_path, capsys, schema):
     out = tmp_path / "run"
     assert do_run(out) == 0
@@ -269,6 +315,24 @@ def test_stats_command(tmp_path, capsys):
         len((out / "trails" / f).read_text(encoding="utf-8").splitlines())
         for f in ("case_convoy.jsonl", "ideal_text.jsonl", "ideal_visual.jsonl", "silent_k1.jsonl"))
     assert total_ops == trail_lines
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"theta": 0.99}, "theta"),
+    ({"theta_event": 0.7, "tau": True}, "tau"),
+    ({"t_max": True}, "t_max"),
+    ({"t_max": 2.5}, "t_max"),
+    ({"retries": False}, "retries"),
+    ({"timeout": "fast"}, "timeout"),
+    ({"mode": 3}, "mode"),
+], ids=["unknown-key", "tau-bool", "t-max-bool", "t-max-fraction", "retries-bool",
+        "timeout-text", "mode-number"])
+def test_run_rejects_a_bad_config_key(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--corpus", CORPUS, "--backend", "script", "--script-dir", SCRIPT,
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "run")) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config_file(tmp_path):

@@ -100,6 +100,13 @@ def test_resolve_trigger_text():
                                  "trigger": {"start": "x", "end": 3}}), MissingField),
     (Operation("revise", "HE1", {"trigger": {"start": [0], "end": 5}}), MissingField),
     (Operation("adjust_confidence", "HE1", {"value": True}), OutOfRangeConfidence),
+    (Operation("revise", "HE1", {"trigger": None}), MissingField),
+    (Operation("revise", "HE1", {"trigger": {"start": 10, "end": 4}}), SchemaViolation),
+    (Operation("revise", "HE1", {"trigger": {"start": 0, "end": 99}}), SchemaViolation),
+    (Operation("propose", None, {"event_type": "Conflict:Attack",
+                                 "trigger": {"start": 5, "end": 5}}), SchemaViolation),
+    (Operation("propose", None, {"event_type": "Conflict:Attack",
+                                 "trigger": {"start": -1, "end": 5}}), SchemaViolation),
 ])
 def test_validate_rejections(op, exc):
     with pytest.raises(exc):
@@ -163,6 +170,28 @@ def test_proposes_differing_only_in_target_are_duplicates():
     unit = resolve_conflicts(ops_, base_graph(), [], 1, SCHEMA, text=TEXT)
     assert [p.index for p in unit.accepted] == [0]
     assert [r for _, r in unit.rejected] == ["duplicate proposal"]
+
+
+def test_revise_that_changes_nothing_is_rejected():
+    unit = resolve_conflicts([P("proposer", Operation("revise", "HE1", {"trigger": None}))],
+                             with_edge(), [], 1, SCHEMA, text=TEXT)
+    assert not unit.accepted and not unit.entries
+    assert [r for _, r in unit.rejected] == [
+        "MissingField: revise requires a new event_type and/or trigger"]
+
+
+def test_audit_entries_carry_the_canonical_payload():
+    unit = resolve_conflicts([
+        P("proposer", Operation("propose", None, {"event_type": "Conflict:Attack",
+                                                  "trigger": {"start": "6", "end": 11.0},
+                                                  "members": ["T2", "T1"]})),
+        P("proposer", Operation("revise", "HE1", {"event_type": "Contact:Meet", "trigger": None}), 1),
+    ], with_edge(), [], 1, SCHEMA, text=TEXT)
+    assert [(e.op_type, e.payload) for e in unit.entries] == [
+        ("propose", {"event_type": "Conflict:Attack", "trigger": {"start": 6, "end": 11},
+                     "members": ["T1", "T2"]}),
+        ("revise", {"event_type": "Contact:Meet"}),
+    ]
 
 
 def test_no_repeat_against_trail():
@@ -350,6 +379,30 @@ def test_replay_tampered_trail_raises():
     ]
     with pytest.raises(InternalInconsistency):
         list(replay_rounds(h0, trail, SCHEMA, DOC))
+
+
+_PROPOSE_ENTRY = {"event_type": "Conflict:Attack", "trigger": {"start": 0, "end": 5}, "members": []}
+
+
+@pytest.mark.parametrize("entry", [
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": {"start": 5, "end": 0}}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": {"start": 0, "end": 99}}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": {"start": "0", "end": 5}}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": {"start": False, "end": 5}}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": {"start": 0}}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "trigger": None}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "event_type": 5}, 1),
+    AuditEntry("proposer", "propose", "HE1", {**_PROPOSE_ENTRY, "members": ["T1", 2]}, 1),
+    AuditEntry("proposer", "propose", "HE1", {"trigger": {"start": 0, "end": 5}}, 1),
+    AuditEntry("proposer", "revise", "HE1", {"trigger": {"start": 12, "end": 40}}, 1),
+    AuditEntry("proposer", "revise", ["HE1"], {"event_type": "Contact:Meet"}, 1),
+], ids=["trigger-inverted", "trigger-past-text-end", "trigger-offset-text", "trigger-offset-bool",
+        "trigger-without-end", "trigger-missing", "event-type-number", "member-number",
+        "event-type-missing", "revise-trigger-past-text-end", "target-list"])
+def test_replay_rejects_an_entry_commit_would_reject(entry):
+    h0 = with_edge() if entry.op_type == "revise" else base_graph()
+    with pytest.raises(InternalInconsistency):
+        list(replay_rounds(h0, [entry], SCHEMA, DOC))
 
 
 def test_replay_propose_id_mismatch_raises():
