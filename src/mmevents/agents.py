@@ -294,28 +294,17 @@ def _body_field(data, key: str, kind: type):
     return value
 
 
+TEMPERATURE = 0.2
+MAX_TOKENS = 8192
+
+
 class LiveBackend(_HTTPClient):
     """Chat-completions-style HTTP backend.
 
-    Request body: {"model", "messages": [system, user], "temperature",
-    "max_tokens"}; the reply text is read from
+    Request body: {"model", "messages": [system, user], "temperature":
+    TEMPERATURE, "max_tokens": MAX_TOKENS}; the reply text is read from
     response["choices"][0]["message"]["content"].
     """
-
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        api_key: str = "",
-        temperature: float = 0.2,
-        max_tokens: int = 8192,
-        retries: int = 2,
-        timeout: float = 120.0,
-        post: Optional[Callable] = None,
-    ):
-        super().__init__(url, model, api_key, retries, timeout, post)
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def invoke(self, role, context, doc_id, round, ledger, stage):
         body = {
@@ -324,8 +313,8 @@ class LiveBackend(_HTTPClient):
                 {"role": "system", "content": role_instructions(role)},
                 {"role": "user", "content": context},
             ],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         reply, attempts, error = self._request(body, _chat_reply)
         if error is not None:

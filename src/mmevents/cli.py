@@ -8,6 +8,7 @@ validation failure (replay mismatch).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -280,9 +281,7 @@ def cmd_replay(args) -> int:
         return 1
     doc = docs[doc_id]
 
-    h0 = final_h.copy()
-    h0.edges = {}
-    h0.next_edge = 1
+    h0 = dataclasses.replace(final_h, edges={}, next_edge=1)
     state = h0
     try:
         for rnd, state in replay_rounds(h0, trail, schema, doc):

@@ -8,8 +8,7 @@ negotiation and are only populated by the role-binding stage.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from .errors import DuplicateLocalization, InternalInconsistency, InvalidLocalization
@@ -72,7 +71,7 @@ def check_localization(loc: Localization, doc: Document) -> None:
         raise InvalidLocalization(f"unknown localization {loc!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vertex:
     id: str
     localization: Localization
@@ -83,7 +82,7 @@ class Vertex:
         return isinstance(self.localization, TextSpan)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoleBinding:
     vertex_id: str
     role: str
@@ -124,7 +123,11 @@ class Hypergraph:
     next_edge: int = 1
 
     def copy(self) -> "Hypergraph":
-        return copy.deepcopy(self)
+        """A copy that shares the frozen vertices and role bindings; the
+        dicts, each edge, its member set and its role list are new."""
+        edges = {eid: replace(e, members=set(e.members), roles=list(e.roles))
+                 for eid, e in self.edges.items()}
+        return replace(self, vertices=dict(self.vertices), edges=edges)
 
 
 def create_hypergraph(doc: Document, items: Iterable[tuple[Localization, str]]) -> Hypergraph:

@@ -112,8 +112,16 @@ def _canonical_trigger(raw) -> Optional[dict]:
         return None
     if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
         raise MissingField("trigger payload must carry integer start/end")
+    return {"start": _offset(raw["start"]), "end": _offset(raw["end"])}
+
+
+def _offset(value) -> int:
+    """A trigger offset as an int: integers, integral floats and integer
+    strings convert; booleans and fractions raise MissingField."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise MissingField(f"trigger payload must carry integer start/end, not {value!r}")
     try:
-        return {"start": int(raw["start"]), "end": int(raw["end"])}
+        return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MissingField(f"trigger payload must carry integer start/end ({exc})") from exc
 
@@ -277,104 +285,83 @@ def resolve_conflicts(
         p.op.alias for p in ordered if p.op.op_type == "propose" and p.op.alias
     )
 
-    # structural validation; canonical payloads are keyed by proposal
-    # identity, as proposals are unhashable
-    valid: list[Proposal] = []
-    canonical: dict[int, dict] = {}
+    # structural validation; each valid proposal becomes one
+    # (proposal, canonical payload, operation key) item
+    items: list[tuple[Proposal, dict, tuple]] = []
     for p in ordered:
         try:
-            canonical[id(p)] = validate(p.op, h, schema, text, aliases)
+            payload = validate(p.op, h, schema, text, aliases)
         except ValidationError as exc:
             unit.rejected.append((p, f"{type(exc).__name__}: {exc}"))
             continue
-        valid.append(p)
+        items.append((p, payload, operation_key(p.op.op_type, p.op.target, payload)))
 
-    # deduplicate identical proposals
+    def keep(items: list, passes, message: str) -> list:
+        """The items `passes(proposal, canonical payload, key)` holds for;
+        each other proposal is rejected with `message`, formatted with it as `p`."""
+        kept = []
+        for item in items:
+            if passes(*item):
+                kept.append(item)
+            else:
+                unit.rejected.append((item[0], message.format(p=item[0])))
+        return kept
+
+    # the policy's rules in order; the set a rule reads is taken from the
+    # survivors of the rules before it
+    # 1. deduplicate identical proposals
     seen: set = set()
-    deduped: list[tuple[Proposal, tuple]] = []
-    for p in valid:
-        key = operation_key(p.op.op_type, p.op.target, canonical[id(p)])
-        if key in seen:
-            unit.rejected.append((p, "duplicate proposal"))
-            continue
-        seen.add(key)
-        deduped.append((p, key))
-
-    # no-repeat against the committed trail
+    items = keep(items, lambda p, c, key: _first(seen, key), "duplicate proposal")
+    # 2. no-repeat against the committed trail
     committed = {operation_key(e.op_type, e.target, e.payload) for e in trail}
-    fresh: list[Proposal] = []
-    for p, key in deduped:
-        if key in committed:
-            unit.rejected.append((p, "repeat of committed operation"))
-        else:
-            fresh.append(p)
+    items = keep(items, lambda p, c, key: key not in committed, "repeat of committed operation")
+    # 3. drop dominance
+    dropped = {p.op.target for p, _, _ in items if p.op.op_type == "drop"}
+    items = keep(items, lambda p, c, key: p.op.op_type == "drop" or p.op.target not in dropped,
+                 "drop of {p.op.target} overrides this operation")
+    # 4. unlink overrides link on the same (vertex, edge) pair
+    unlinked = {(p.op.target, c["vertex"]) for p, c, _ in items if p.op.op_type == "unlink"}
+    items = keep(items, lambda p, c, key: p.op.op_type != "link"
+                 or (p.op.target, c["vertex"]) not in unlinked,
+                 "unlink overrides link on this vertex-edge pair")
+    # 5. at most one confidence adjustment per edge per round
+    adjusted: set = set()
+    items = keep(items, lambda p, c, key: p.op.op_type != "adjust_confidence"
+                 or _first(adjusted, p.op.target), "conflicting confidence adjustment")
+    # 6. links to aliases of proposes that did not survive cannot resolve
+    live = {p.op.alias for p, _, _ in items if p.op.op_type == "propose" and p.op.alias}
+    items = keep(items, lambda p, c, key: p.op.op_type == "propose" or p.op.target not in aliases
+                 or p.op.target in live, "alias {p.op.target!r} refers to a rejected proposal")
 
-    # drop dominance
-    dropped = {p.op.target for p in fresh if p.op.op_type == "drop"}
-    survivors: list[Proposal] = []
-    for p in fresh:
-        if p.op.op_type != "drop" and p.op.target in dropped:
-            unit.rejected.append((p, f"drop of {p.op.target} overrides this operation"))
-        else:
-            survivors.append(p)
-
-    # unlink overrides link on the same (vertex, edge) pair
-    unlinked = {
-        (p.op.target, p.op.payload.get("vertex"))
-        for p in survivors
-        if p.op.op_type == "unlink"
-    }
-    kept: list[Proposal] = []
-    for p in survivors:
-        if p.op.op_type == "link" and (p.op.target, p.op.payload.get("vertex")) in unlinked:
-            unit.rejected.append((p, "unlink overrides link on this vertex-edge pair"))
-        else:
-            kept.append(p)
-
-    # at most one confidence adjustment per edge per round
-    adjusted: set[str] = set()
-    final: list[Proposal] = []
-    for p in kept:
-        if p.op.op_type == "adjust_confidence":
-            if p.op.target in adjusted:
-                unit.rejected.append((p, "conflicting confidence adjustment"))
-                continue
-            adjusted.add(p.op.target)
-        final.append(p)
-
-    # links to aliases of proposes that did not survive cannot resolve
-    live_aliases = {p.op.alias for p in final if p.op.op_type == "propose" and p.op.alias}
-    resolved: list[Proposal] = []
-    for p in final:
-        if (
-            p.op.op_type != "propose"
-            and p.op.target in aliases
-            and p.op.target not in live_aliases
-        ):
-            unit.rejected.append((p, f"alias {p.op.target!r} refers to a rejected proposal"))
-        else:
-            resolved.append(p)
-
-    unit.accepted = sorted(resolved, key=_application_key)
-    unit.entries = _audit_entries(unit.accepted, canonical, h.next_edge, round)
+    items.sort(key=lambda item: _application_key(item[0]))
+    unit.accepted = [p for p, _, _ in items]
+    unit.entries = _audit_entries(items, h.next_edge, round)
     return unit
 
 
-def _audit_entries(accepted: Sequence[Proposal], canonical: dict[int, dict], next_edge: int,
+def _first(seen: set, key) -> bool:
+    """True iff `key` is not yet in `seen`, which holds it afterwards."""
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
+
+
+def _audit_entries(items: Sequence[tuple[Proposal, dict, tuple]], next_edge: int,
                    round: int) -> list[AuditEntry]:
-    """Accepted proposals as audit entries with the canonical payloads
-    `canonical` maps their identities to: each propose takes the next edge
-    id in application order, and targets naming its alias take it too."""
+    """Accepted (proposal, canonical payload, key) items as audit entries:
+    each propose takes the next edge id in application order, and targets
+    naming its alias take it too."""
     ids: dict[str, str] = {}
     entries = []
-    for p in accepted:
+    for p, payload, _ in items:
         target = ids.get(p.op.target, p.op.target)
         if p.op.op_type == "propose":
             target = f"HE{next_edge}"
             next_edge += 1
             if p.op.alias:
                 ids[p.op.alias] = target
-        entries.append(AuditEntry(p.agent_id, p.op.op_type, target, canonical[id(p)], round))
+        entries.append(AuditEntry(p.agent_id, p.op.op_type, target, payload, round))
     return entries
 
 

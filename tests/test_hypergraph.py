@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mmevents.errors import (
@@ -123,7 +125,7 @@ def test_invariants_trigger_required_with_text():
 
 def test_invariants_surface_divergence():
     h = _base()
-    h.vertices["T1"].surface = "Polizei"
+    h.vertices["T1"] = replace(h.vertices["T1"], surface="Polizei")
     with pytest.raises(InternalInconsistency):
         check_invariants(h, default_schema(), DOC)
 
@@ -132,6 +134,8 @@ def test_copy_is_deep():
     h = _base()
     g = h.copy()
     g.edges["HE1"].members.add("T2")
-    g.vertices["T1"].surface = "changed"
+    g.edges["HE1"].roles.append(RoleBinding("T2", "Person", 0.9))
+    g.vertices["T1"] = replace(g.vertices["T1"], surface="changed")
     assert h.vertices["T1"].surface == "Police"
+    assert h.edges["HE1"].roles == []
     assert h == _base()

@@ -107,6 +107,9 @@ def test_resolve_trigger_text():
                                  "trigger": {"start": 5, "end": 5}}), SchemaViolation),
     (Operation("propose", None, {"event_type": "Conflict:Attack",
                                  "trigger": {"start": -1, "end": 5}}), SchemaViolation),
+    (Operation("propose", None, {"event_type": "Conflict:Attack",
+                                 "trigger": {"start": True, "end": 5}}), MissingField),
+    (Operation("revise", "HE1", {"trigger": {"start": 0, "end": 5.9}}), MissingField),
 ])
 def test_validate_rejections(op, exc):
     with pytest.raises(exc):
@@ -280,6 +283,44 @@ def test_application_order():
     assert [p.op.op_type for p in unit.accepted] == [
         "unlink", "propose", "link", "adjust_confidence",
     ]
+
+
+def test_one_round_trips_every_rule_in_policy_order():
+    h = with_edge()
+    h.edges["HE1"].members.add("T3")
+    h.edges["HE2"] = Hyperedge(id="HE2", event_type="Contact:Meet", trigger=TextSpan(6, 11),
+                               trigger_surface="bravo")
+    h.next_edge = 3
+    trail = [AuditEntry("linker", "link", "HE1", {"vertex": "T3"}, 1)]
+    ops_ = [
+        P("proposer", Operation("propose", None, {"event_type": "No:Such",
+                                                  "trigger": {"start": 0, "end": 5}}, alias="e1"), 0),
+        P("proposer", Operation("link", "HE1", {"vertex": "T2"}), 1),
+        P("proposer", Operation("adjust_confidence", "HE2", {"value": 0.5}), 2),
+        P("proposer", Operation("adjust_confidence", "HE1", {"value": 0.8}), 3),
+        P("linker", Operation("link", "HE1", {"vertex": "T2"}), 0),
+        P("linker", Operation("link", "HE1", {"vertex": "T3"}), 1),
+        P("linker", Operation("link", "HE1", {"vertex": "T1"}), 2),
+        P("linker", Operation("link", "e1", {"vertex": "T2"}), 3),
+        P("verifier", Operation("drop", "HE2", {}), 0),
+        P("verifier", Operation("unlink", "HE1", {"vertex": "T1"}), 1),
+        P("verifier", Operation("adjust_confidence", "HE1", {"value": 0.3}), 2),
+    ]
+    unit = resolve_conflicts(list(reversed(ops_)), h, trail, 2, SCHEMA, text=TEXT)
+    assert [(p.agent_id, p.index, r) for p, r in unit.rejected] == [
+        ("proposer", 0, "SchemaViolation: event type 'No:Such' not in schema"),
+        ("linker", 0, "duplicate proposal"),
+        ("linker", 1, "repeat of committed operation"),
+        ("proposer", 2, "drop of HE2 overrides this operation"),
+        ("linker", 2, "unlink overrides link on this vertex-edge pair"),
+        ("verifier", 2, "conflicting confidence adjustment"),
+        ("linker", 3, "alias 'e1' refers to a rejected proposal"),
+    ]
+    assert [(p.agent_id, p.index) for p in unit.accepted] == [
+        ("verifier", 0), ("verifier", 1), ("proposer", 1), ("proposer", 3)]
+    assert [(e.op_type, e.target, e.payload) for e in unit.entries] == [
+        ("drop", "HE2", {}), ("unlink", "HE1", {"vertex": "T1"}),
+        ("link", "HE1", {"vertex": "T2"}), ("adjust_confidence", "HE1", {"value": 0.8})]
 
 
 # ---------------------------------------------------------------------------
