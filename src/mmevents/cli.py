@@ -300,22 +300,38 @@ def cmd_replay(args) -> int:
     return 0
 
 
+def _ok_document_counts(manifest, ledger) -> list[tuple[int, int]]:
+    """(t_used, committed_ops) of every ok document in a run's manifest.
+    Raises ValueError for a manifest or ledger of the wrong shape."""
+    docs = manifest.get("documents") if isinstance(manifest, dict) else None
+    if not isinstance(docs, dict) or not all(isinstance(info, dict) for info in docs.values()):
+        raise ValueError('manifest.json needs a "documents" object of document objects')
+    if not isinstance(ledger, dict) or not {"totals", "per_doc"} <= ledger.keys():
+        raise ValueError('ledger.json needs "totals" and "per_doc"')
+    counts = []
+    for doc_id, info in docs.items():
+        if info.get("status") != "ok":
+            continue
+        if type(info.get("t_used")) is not int or type(info.get("committed_ops")) is not int:
+            raise ValueError(f"manifest document {doc_id!r} needs integer t_used and committed_ops")
+        counts.append((info["t_used"], info["committed_ops"]))
+    return counts
+
+
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
         ledger = json.loads((run_dir / "ledger.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        counts = _ok_document_counts(manifest, ledger)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read run directory: {exc}", file=sys.stderr)
         return 1
     t_used_dist: dict[str, int] = {}
     ops_dist: dict[str, int] = {}
-    for info in manifest["documents"].values():
-        if info.get("status") != "ok":
-            continue
-        t_used_dist[str(info["t_used"])] = t_used_dist.get(str(info["t_used"]), 0) + 1
-        n_ops = str(info["committed_ops"])
-        ops_dist[n_ops] = ops_dist.get(n_ops, 0) + 1
+    for t_used, n_ops in counts:
+        t_used_dist[str(t_used)] = t_used_dist.get(str(t_used), 0) + 1
+        ops_dist[str(n_ops)] = ops_dist.get(str(n_ops), 0) + 1
     stats = {
         "t_used_distribution": dict(sorted(t_used_dist.items())),
         "committed_ops_distribution": dict(sorted(ops_dist.items())),

@@ -73,12 +73,17 @@ class AuditEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuditEntry":
+        """Raises ValueError unless the payload is an object and the round
+        an integer (never a boolean)."""
+        payload, rnd = obj.get("payload", {}), obj["round"]
+        if not isinstance(payload, dict) or type(rnd) is not int:
+            raise ValueError(f"trail entry needs an object payload and an integer round: {obj!r}")
         return cls(
             agent_id=obj["agent_id"],
             op_type=obj["op_type"],
             target=obj.get("target"),
-            payload=dict(obj.get("payload", {})),
-            round=int(obj["round"]),
+            payload=dict(payload),
+            round=rnd,
         )
 
 
@@ -241,12 +246,6 @@ def operation_key(op_type: str, target: Optional[str], payload: dict) -> tuple:
     """An operation's identity, given its canonical payload. Proposals never
     carry a concrete edge id, so a propose is identified by payload alone."""
     return (op_type, None if op_type == "propose" else target, _freeze(payload))
-
-
-def equivalent(op: Operation, entry: AuditEntry) -> bool:
-    """True iff the operation repeats a committed trail entry."""
-    key = operation_key(op.op_type, op.target, canonical_payload(op.op_type, op.payload))
-    return key == operation_key(entry.op_type, entry.target, entry.payload)
 
 
 def _agent_rank(agent_id: str) -> tuple:

@@ -8,6 +8,7 @@ matches when IoU with an unconsumed gold box is at least 0.5.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .boxes import iou
@@ -61,92 +62,65 @@ def _check_setting(setting: str) -> None:
         raise UnknownSetting(f"setting must be one of {SETTINGS}, got {setting!r}")
 
 
-def _ordered_preds(preds: list[EventRecord]) -> list[EventRecord]:
-    """Emitted order, confidence-descending when every record carries one."""
-    confs = [
-        (p.confidence or {}).get("event") if isinstance(p.confidence, dict) else None
-        for p in preds
-    ]
+def _prediction_order(preds: list[EventRecord]) -> list[int]:
+    """Indices in emitted order, confidence-descending when every record
+    carries one."""
+    confs = [p.confidence.get("event") if isinstance(p.confidence, dict) else None for p in preds]
     if preds and all(c is not None for c in confs):
-        return [p for _c, _i, p in sorted(
-            ((-confs[i], i, p) for i, p in enumerate(preds))
-        )]
-    return list(preds)
+        return sorted(range(len(preds)), key=lambda i: (-confs[i], i))
+    return list(range(len(preds)))
 
 
-def _em_match(pred: EventRecord, gold: EventRecord, setting: str) -> bool:
-    if pred.event_type != gold.event_type:
-        return False
-    if setting == "visual":
-        return True
-    return normalize(pred.trigger) == normalize(gold.trigger)
+def _event_key(rec: EventRecord, setting: str):
+    """What an event must share with a gold event to match it."""
+    return rec.event_type if setting == "visual" else (rec.event_type, normalize(rec.trigger))
 
 
 def match_events(
     preds: list[EventRecord], golds: list[EventRecord], setting: str
 ) -> list[tuple[int, int]]:
-    """Greedy one-to-one event matching in prediction order."""
+    """Greedy one-to-one event matching in prediction order: each
+    prediction takes the first unconsumed gold with its key."""
+    free: dict[object, deque[int]] = {}
+    for j, gold in enumerate(golds):
+        free.setdefault(_event_key(gold, setting), deque()).append(j)
     pairs = []
-    consumed: set[int] = set()
-    ordered = _ordered_preds(preds)
-    index_of = {id(p): i for i, p in enumerate(preds)}
-    for pred in ordered:
-        for j, gold in enumerate(golds):
-            if j in consumed:
-                continue
-            if _em_match(pred, gold, setting):
-                consumed.add(j)
-                pairs.append((index_of[id(pred)], j))
-                break
+    for i in _prediction_order(preds):
+        slots = free.get(_event_key(preds[i], setting))
+        if slots:
+            pairs.append((i, slots.popleft()))
     return pairs
 
 
 def _args_of(rec: EventRecord) -> list[tuple[str, str, object]]:
-    """Flatten arguments as (modality, role, grounding)."""
-    out = [("text", role, text) for role, text in rec.text_arguments]
-    out += [("image", role, list(box)) for role, box in rec.image_arguments]
+    """Flatten arguments as (modality, role, grounding): a text grounding
+    is its normalized token tuple, an image grounding its box."""
+    out = [("text", role, tuple(norm_tokens(text))) for role, text in rec.text_arguments]
+    out += [("image", role, box) for role, box in rec.image_arguments]
     return out
 
 
-def _match_args(pred: EventRecord, gold: EventRecord) -> tuple[int, list[tuple[str, str, object]]]:
+def _match_args(pred_args: list, gold_args: list) -> tuple[int, list[tuple[str, str, object]]]:
     """Greedy argument matching inside one matched event pair.
 
     Returns (matched count, unmatched predicted arguments).
     """
-    gold_args = _args_of(gold)
     consumed: set[int] = set()
-    matched = 0
     unmatched = []
-    for modality, role, grounding in _args_of(pred):
-        hit = None
+    for modality, role, grounding in pred_args:
         for j, (g_mod, g_role, g_ground) in enumerate(gold_args):
             if j in consumed or g_mod != modality or g_role != role:
                 continue
-            if modality == "text":
-                if normalize(grounding) == normalize(g_ground):
-                    hit = j
-                    break
-            else:
-                if iou(grounding, g_ground) >= IOU_THRESHOLD:
-                    hit = j
-                    break
-        if hit is None:
-            unmatched.append((modality, role, grounding))
+            if g_ground == grounding if modality == "text" else iou(grounding, g_ground) >= IOU_THRESHOLD:
+                consumed.add(j)
+                break
         else:
-            consumed.add(hit)
-            matched += 1
-    return matched, unmatched
+            unmatched.append((modality, role, grounding))
+    return len(consumed), unmatched
 
 
 # ---------------------------------------------------------------------------
 # error taxonomies
-
-
-def _gold_args_by_type(golds: list[EventRecord]) -> dict:
-    by_type: dict[str, list[tuple[str, str, object]]] = {}
-    for g in golds:
-        by_type.setdefault(g.event_type, []).extend(_args_of(g))
-    return by_type
 
 
 def _classify_one(modality, role, grounding, type_gold_args) -> str:
@@ -164,19 +138,10 @@ def _classify_one(modality, role, grounding, type_gold_args) -> str:
         if any(g_role != role for g_role, _ in passing):
             return "role_misassignment"
         return "spurious"
-    exact = [
-        g_role
-        for g_mod, g_role, g_ground in type_gold_args
-        if g_mod == "text" and normalize(g_ground) == normalize(grounding)
-    ]
-    if exact and any(g_role != role for g_role in exact):
+    text_args = [(g_role, g_ground) for g_mod, g_role, g_ground in type_gold_args if g_mod == "text"]
+    if any(g_ground == grounding and g_role != role for g_role, g_ground in text_args):
         return "role_misassignment"
-    same_role = [
-        g_ground
-        for g_mod, g_role, g_ground in type_gold_args
-        if g_mod == "text" and g_role == role and normalize(g_ground) != normalize(grounding)
-    ]
-    if same_role:
+    if any(g_role == role and g_ground != grounding for g_role, g_ground in text_args):
         return "span_mismatch"
     return "spurious"
 
@@ -185,23 +150,20 @@ def _classify_one(modality, role, grounding, type_gold_args) -> str:
 # span relations
 
 
-def span_relation(pred_text: str, gold_text) -> str:
-    if gold_text is None:
-        return "No-gold"
-    p = norm_tokens(pred_text)
-    g = norm_tokens(gold_text)
-    if p == g:
+def span_relation(pred: tuple[str, ...], gold: tuple[str, ...]) -> str:
+    """Relation of predicted to gold normalized tokens."""
+    if pred == gold:
         return "Exact"
-    if _contiguous_subseq(g, p):
+    if _contiguous_subseq(gold, pred):
         return "Contains"
-    if _contiguous_subseq(p, g):
+    if _contiguous_subseq(pred, gold):
         return "Contained-by"
-    if set(p) & set(g):
+    if set(pred) & set(gold):
         return "Overlap"
     return "None"
 
 
-def _contiguous_subseq(needle: list[str], haystack: list[str]) -> bool:
+def _contiguous_subseq(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
     if not needle or len(needle) >= len(haystack):
         return False
     return any(haystack[i:i + len(needle)] == needle for i in range(len(haystack) - len(needle) + 1))
@@ -212,28 +174,13 @@ _RELATION_PRIORITY = {r: i for i, r in enumerate(
 )}
 
 
-def span_profile(preds_by_doc: dict, golds_by_doc: dict) -> dict:
-    """Relation of every predicted text argument to its best gold text
-    candidate under the same event type."""
-    counts = {k: 0 for k in SPAN_RELATIONS}
-    for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
-        preds = preds_by_doc.get(doc_id, [])
-        golds = golds_by_doc.get(doc_id, [])
-        gold_texts: dict[str, list[str]] = {}
-        for g in golds:
-            gold_texts.setdefault(g.event_type, []).extend(t for _r, t in g.text_arguments)
-        for pred in preds:
-            candidates = gold_texts.get(pred.event_type, [])
-            for _role, text in pred.text_arguments:
-                if not candidates:
-                    counts["No-gold"] += 1
-                    continue
-                best = min(
-                    (span_relation(text, c) for c in candidates),
-                    key=lambda r: _RELATION_PRIORITY[r],
-                )
-                counts[best] += 1
-    return counts
+def _best_relation(tokens: tuple[str, ...], candidates: set) -> str:
+    """Relation to the best gold text candidate under the same event type."""
+    if not candidates:
+        return "No-gold"
+    if tokens in candidates:
+        return "Exact"
+    return min((span_relation(tokens, c) for c in candidates), key=_RELATION_PRIORITY.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -258,38 +205,49 @@ def overgen_stats(predicted: int, matched: int, gold: int) -> dict:
 
 
 def evaluate(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> dict:
-    """Full report. Each document's events are matched once; EM, AR, both
-    error taxonomies and over-generation all derive from that matching."""
+    """Full report in one pass over the documents. Each document's
+    arguments are normalized once and its events matched once; EM, AR,
+    both error taxonomies, span relations and over-generation all derive
+    from that."""
     _check_setting(setting)
     em_matched = em_pred = em_gold = 0
     ar_matched = ar_pred = ar_gold = 0
     em_errors = {k: 0 for k in EM_ERROR_KEYS}
     ar_errors = {k: 0 for k in AR_ERROR_KEYS}
+    relations = {k: 0 for k in SPAN_RELATIONS}
     for doc_id in sorted(set(preds_by_doc) | set(golds_by_doc)):
         preds = preds_by_doc.get(doc_id, [])
         golds = golds_by_doc.get(doc_id, [])
+        pred_args = [_args_of(p) for p in preds]
+        gold_args = [_args_of(g) for g in golds]
+        by_type: dict[str, list[tuple[str, str, object]]] = {}
+        for gold, args in zip(golds, gold_args):
+            by_type.setdefault(gold.event_type, []).extend(args)
+        gold_texts = {t: {g for m, _r, g in args if m == "text"} for t, args in by_type.items()}
         pairs = dict(match_events(preds, golds, setting))
         em_matched += len(pairs)
         em_pred += len(preds)
         em_gold += len(golds)
         em_errors["missing"] += len(golds) - len(pairs)
-        ar_pred += sum(len(_args_of(p)) for p in preds)
-        ar_gold += sum(len(_args_of(g)) for g in golds)
-        gold_types = {g.event_type for g in golds}
-        by_type = _gold_args_by_type(golds)
-        for pi, pred in enumerate(preds):
+        ar_pred += sum(map(len, pred_args))
+        ar_gold += sum(map(len, gold_args))
+        for pi, (pred, args) in enumerate(zip(preds, pred_args)):
             if pi in pairs:
-                matched, unmatched = _match_args(pred, golds[pairs[pi]])
+                matched, unmatched = _match_args(args, gold_args[pairs[pi]])
                 ar_matched += matched
             else:
-                unmatched = _args_of(pred)
-                if setting != "visual" and pred.event_type in gold_types:
+                unmatched = args
+                if setting != "visual" and pred.event_type in by_type:
                     em_errors["trigger_mismatch"] += 1
                 else:
                     em_errors["spurious_type"] += 1
+            type_args = by_type.get(pred.event_type, [])
             for modality, role, grounding in unmatched:
-                key = _classify_one(modality, role, grounding, by_type.get(pred.event_type, []))
-                ar_errors[key] += 1
+                ar_errors[_classify_one(modality, role, grounding, type_args)] += 1
+            candidates = gold_texts.get(pred.event_type, set())
+            for modality, _role, tokens in args:
+                if modality == "text":
+                    relations[_best_relation(tokens, candidates)] += 1
     ar_errors["total"] = sum(ar_errors[k] for k in AR_ERROR_KEYS)
     em = PRF.from_counts(em_matched, em_pred, em_gold)
     ar = PRF.from_counts(ar_matched, ar_pred, ar_gold)
@@ -299,7 +257,7 @@ def evaluate(preds_by_doc: dict, golds_by_doc: dict, setting: str) -> dict:
         "ar": ar.to_json(),
         "em_errors": em_errors,
         "ar_errors": ar_errors,
-        "span_relations": span_profile(preds_by_doc, golds_by_doc),
+        "span_relations": relations,
         "overgen": overgen_stats(ar.predicted, ar.matched, ar.gold),
     }
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+from .boxes import is_number
 from .errors import MalformedState
 from .hypergraph import (
     BoxRegion,
@@ -58,30 +59,47 @@ def serialize_state(h: Hypergraph, trail: list[AuditEntry]) -> bytes:
     return json.dumps(state_to_json(h, trail), ensure_ascii=False, sort_keys=True).encode("utf-8")
 
 
+def _int(value) -> int:
+    """Offsets, box coordinates and counters are JSON integers, never booleans."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _span(obj) -> TextSpan:
+    return TextSpan(_int(obj["start"]), _int(obj["end"]))
+
+
 def _vertex_from_json(obj: dict) -> Vertex:
     where = obj["localization"]
     if where["kind"] == "text":
-        loc = TextSpan(int(where["start"]), int(where["end"]))
+        loc = _span(where)
     elif where["kind"] == "image":
-        loc = BoxRegion(*(int(x) for x in where["bbox"]))
+        loc = BoxRegion(*(_int(x) for x in where["bbox"]))
     else:
         raise MalformedState(f"unknown localization kind {where['kind']!r}")
     return Vertex(id=obj["id"], localization=loc, surface=obj["surface"])
 
 
+def _binding_from_json(obj: dict) -> RoleBinding:
+    if not is_number(obj["confidence"]):
+        raise ValueError(f"binding confidence {obj['confidence']!r} is not a number")
+    return RoleBinding(obj["vertex"], obj["role"], float(obj["confidence"]))
+
+
 def _edge_from_json(obj: dict) -> Hyperedge:
     trig = obj.get("trigger")
+    confidence = obj.get("confidence")
+    if confidence is not None and not is_number(confidence):
+        raise ValueError(f"edge confidence {confidence!r} is neither a number nor null")
     return Hyperedge(
         id=obj["id"],
         event_type=obj["event_type"],
         members=set(obj.get("members", [])),
-        trigger=None if trig is None else TextSpan(int(trig["start"]), int(trig["end"])),
+        trigger=None if trig is None else _span(trig),
         trigger_surface=obj.get("trigger_surface", ""),
-        roles=[
-            RoleBinding(r["vertex"], r["role"], float(r["confidence"]))
-            for r in obj.get("roles", [])
-        ],
-        confidence=obj.get("confidence"),
+        roles=[_binding_from_json(r) for r in obj.get("roles", [])],
+        confidence=confidence,
     )
 
 
@@ -95,9 +113,9 @@ def state_from_json(data: dict) -> tuple[Hypergraph, list[AuditEntry]]:
             e = _edge_from_json(eobj)
             h.edges[e.id] = e
         counters = data["counters"]
-        h.next_text = int(counters["text"])
-        h.next_image = int(counters["image"])
-        h.next_edge = int(counters["edge"])
+        h.next_text = _int(counters["text"])
+        h.next_image = _int(counters["image"])
+        h.next_edge = _int(counters["edge"])
         trail = [AuditEntry.from_json(e) for e in data["trail"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedState(f"state object violates schema: {exc}") from exc

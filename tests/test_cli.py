@@ -149,6 +149,41 @@ def test_replay_tampered_trail_exits_3(tmp_path, capsys):
     assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 3
 
 
+def _first_trail_round(data):
+    data["trail"][0]["round"] = True
+
+
+def _first_vertex_start(data):
+    data["vertices"][0]["localization"]["start"] = True
+
+
+def _first_trigger_start(data):
+    data["edges"][0]["trigger"]["start"] = True
+
+
+def _binding_confidence(data):
+    edge = data["edges"][0]
+    edge["roles"] = [{"vertex": edge["members"][0], "role": "Entity", "confidence": True}]
+
+
+@pytest.mark.parametrize("tamper", [_first_trail_round, _first_vertex_start, _first_trigger_start,
+                                    _binding_confidence],
+                         ids=["round-bool", "vertex-start-bool", "trigger-start-bool",
+                              "binding-confidence-bool"])
+def test_replay_state_with_boolean_number_exits_1(tmp_path, capsys, tamper):
+    out = tmp_path / "run"
+    assert do_run(out) == 0
+    state_file = out / "states" / "case_convoy.json"
+    data = json.loads(state_file.read_bytes().decode("utf-8"))
+    tamper(data)
+    state_file.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("replay", "--state", str(state_file), "--corpus", CORPUS) == 1
+    captured = capsys.readouterr()
+    assert "replay ok" not in captured.out
+    assert captured.err.startswith("error:")
+
+
 def _drop_value(payload):
     del payload["value"]
 
@@ -315,6 +350,23 @@ def test_stats_command(tmp_path, capsys):
         len((out / "trails" / f).read_text(encoding="utf-8").splitlines())
         for f in ("case_convoy.jsonl", "ideal_text.jsonl", "ideal_visual.jsonl", "silent_k1.jsonl"))
     assert total_ops == trail_lines
+
+
+@pytest.mark.parametrize("name,content", [
+    ("manifest.json", {}),
+    ("manifest.json", []),
+    ("manifest.json", {"documents": {"d": {"status": "ok", "committed_ops": 3}}}),
+    ("ledger.json", {}),
+], ids=["manifest-empty-object", "manifest-list", "ok-document-without-t-used", "ledger-empty-object"])
+def test_stats_malformed_run_directory_exits_1(tmp_path, capsys, name, content):
+    out = tmp_path / "run"
+    assert do_run(out) == 0
+    (out / name).write_text(json.dumps(content), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("stats", "--run-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("config,key", [
